@@ -626,14 +626,16 @@ class Ring:
     min_cut: tuple | None = None
 
 
-def ring_decomposition(c: ClosedDiagram) -> list[Ring]:
+def ring_decomposition(c: ClosedDiagram, cycles: list[Cycle] | None = None) -> list[Ring]:
     """Rings ordered radially (annular) or cyclically from the first cut
-    (toral).  Requires a reduced diagram."""
+    (toral).  Requires a reduced diagram; ``cycles``, when given, must be
+    ``directed_cycles(c)``."""
     redexes = find_closed_redexes(c)
     if redexes:
         raise NotReduced(f"diagram has redex {redexes[0]}")
 
-    cycles = directed_cycles(c)
+    if cycles is None:
+        cycles = directed_cycles(c)
     comps = weak_components(c)
     comp_of = {}
     for ci, comp in enumerate(comps):
@@ -684,8 +686,11 @@ def _component_heads(c: ClosedDiagram, comp) -> list[int]:
     return heads
 
 
-def check_cycle_structure(c: ClosedDiagram) -> None:
-    """Validate the structure theorem on a reduced closed diagram.
+def check_cycle_structure(
+    c: ClosedDiagram, cycles: list[Cycle] | None = None
+) -> list[Ring]:
+    """Validate the structure theorem on a reduced closed diagram and
+    return its ``ring_decomposition``.
 
     Raises StructureViolation naming the failing clause; passing means:
     every directed cycle is a free loop or a pure split/merge loop,
@@ -697,12 +702,17 @@ def check_cycle_structure(c: ClosedDiagram) -> None:
     torus the cycles of one component are arranged cyclically and the
     band where the component closes up may sit between two loops of the
     same kind, so alternation is a specifically annular fact.)
+
+    ``cycles``, when given, must be ``directed_cycles(c)``; passing them
+    lets a caller that already has them skip the second search.
     """
     # cycle-level clauses come first so that hand-built pathologies are
     # named even when (necessarily) unreduced: a mixed cycle always
     # contains a merge-then-split edge, i.e. a type II redex
+    if cycles is None:
+        cycles = directed_cycles(c)
     classes = []
-    for cyc in directed_cycles(c):
+    for cyc in cycles:
         if cyc.pure is None:
             raise StructureViolation(
                 f"cycle through {cyc.vertices} mixes splits and merges"
@@ -717,7 +727,7 @@ def check_cycle_structure(c: ClosedDiagram) -> None:
             raise StructureViolation("free loop with nonpositive winding")
         classes.append((len(f.cuts), f.long))
 
-    rings = ring_decomposition(c)  # NotReduced gate for the ring-level clauses
+    rings = ring_decomposition(c, cycles)  # NotReduced gate for the ring-level clauses
     for ring in rings:
         if ring.kind == "free":
             continue
@@ -743,6 +753,7 @@ def check_cycle_structure(c: ClosedDiagram) -> None:
                 )
         if math.gcd(n0, k0) != 1:
             raise StructureViolation(f"toral class ({n0},{k0}) is not primitive")
+    return rings
 
 
 def cutting_sequence(c: ClosedDiagram):

@@ -23,7 +23,7 @@ from strandgroups.oracle import brute_conj_witness, equals_identity, word_to_map
 from strandgroups.rewrite import encode_square, reduce_diagram
 from strandgroups.toral import canonical_toral, dehn_twist, is_conjugate_t, rotation_number, torsion_witness
 from strandgroups.vgroup import cohomology_equivalent, is_conjugate_v
-from strandgroups.words import Generator, Word, random_word, word_to_diagram
+from strandgroups.words import Generator, Word, parse_word, random_word, word_to_diagram
 
 _ANNULAR_REGISTRY = []
 
@@ -281,9 +281,16 @@ def test_criterion_9_empirical_linear_reduction():
     print(f"ACCEPTANCE 9 (linear reduction): PASS — {rows}")
 
 
+def _t(w: Word) -> Word:
+    return Word("T", w.letters)
+
+
 def test_criterion_10_cross_pipeline_agreement():
+    # F < T < V, so conjugacy in F implies conjugacy in T, which implies
+    # conjugacy in V; the converses fail (see the regression below), so
+    # the three verdicts need not agree
     rng = random.Random(110)
-    disagreements = 0
+    t_only = 0
     for i in range(300):
         if i % 2 == 0:
             w1 = random_word("F", rng.randrange(0, 15), rng)
@@ -295,7 +302,26 @@ def test_criterion_10_cross_pipeline_agreement():
         vf = is_conjugate_f(w1, w2)
         vt = is_conjugate_t(w1, w2)
         vv = is_conjugate_v(w1, w2)
-        if not (vf == vt == vv):
-            disagreements += 1
-    assert disagreements == 0
-    print("ACCEPTANCE 10 (cross-pipeline agreement): PASS — 300 F-word pairs")
+        if vf:
+            assert vt, (i, "F-conjugate but not T-conjugate")
+        if vt:
+            assert vv, (i, "T-conjugate but not V-conjugate")
+        if vt and not vf:
+            assert brute_conj_witness(_t(w1), _t(w2), 5) is not None, (i, "T verdict without witness")
+            t_only += 1
+    print(f"ACCEPTANCE 10 (cross-pipeline implications): PASS — 300 F-word pairs, {t_only} conjugate in T only")
+
+
+def test_criterion_10_regression_conjugate_in_t_not_in_f():
+    # x0 x0 x1^-1 x0^-1 acts as x0 on [0,1/2]; rotating by 1/2 (the T
+    # conjugator x0 c^-1 x0) carries it to x1, which acts on [1/2,1].  In
+    # F, conjugation keeps the slope at 0, which is 2 for the first and
+    # 1 for x1
+    w1 = parse_word("x0 x0 x1^-1 x0^-1")
+    w2 = parse_word("x1")
+    assert not is_conjugate_f(w1, w2)
+    assert is_conjugate_t(w1, w2)
+    assert is_conjugate_v(w1, w2)
+    witness = brute_conj_witness(_t(w1), _t(w2), 4)
+    assert witness is not None
+    assert equals_identity(word_to_map(witness.inverse() * _t(w1) * witness * _t(w2).inverse()))

@@ -1,14 +1,24 @@
 """Canonical annular forms: determinism, invariance, separation, decorations."""
 
+import itertools
+
 import networkx as nx
 import pytest
 
-from strandgroups.canonical import annular_form, canonical_annular, decorate, is_conjugate_f
-from strandgroups.closure import close_annular, reduce_closed
+from strandgroups.canonical import (
+    annular_form,
+    canonical_annular,
+    decorate,
+    encode_component,
+    is_conjugate_f,
+    min_encoding,
+)
+from strandgroups.closure import check_cycle_structure, close_annular, close_cylindrical, reduce_closed
 from strandgroups.errors import AlphabetError, NotReduced
 from strandgroups.oracle import brute_conj_witness
 from strandgroups.rewrite import reduce_diagram
-from strandgroups.words import Word, parse_word, random_word, word_to_diagram
+from strandgroups.toral import dehn_normalize
+from strandgroups.words import Generator, Word, parse_word, random_word, word_to_diagram
 
 from conftest import permute_vertices
 
@@ -67,23 +77,86 @@ def test_determinism_under_reindexing(rng):
         assert canonical_annular(a) == canonical_annular(b)
 
 
-def test_rotation_invariance_of_root_choice(rng):
-    # re-rooting the traversal anywhere on the innermost cycle never
-    # changes the minimized encoding
-    from strandgroups.canonical import encode_component
-    from strandgroups.closure import ring_decomposition
+def _assert_min_encoding_matches_reference(c, roots, with_weights, rng):
+    reference = min(encode_component(c, v, with_weights) for v in roots)
+    for _ in range(3):
+        order = list(roots)
+        rng.shuffle(order)
+        assert min_encoding(c, order, with_weights) == reference
+    return sum(encode_component(c, v, with_weights) == reference for v in roots)
 
+
+def test_min_encoding_matches_reference_on_random_f_rings(rng):
+    # innermost-cycle roots as canonical_annular uses them, and every
+    # vertex of the component, whose encodings share longer prefixes
     for _ in range(60):
-        w = random_word("F", rng.randrange(1, 15), rng)
-        a = _reduced_annular(w)
-        for ring in ring_decomposition(a):
-            if ring.kind != "component":
-                continue
-            encodings = {
-                min(encode_component(a, v) for v in ring.cycles[0].vertices)
-                for _start in ring.cycles[0].vertices
-            }
-            assert len(encodings) == 1
+        a = _reduced_annular(random_word("F", rng.randrange(1, 60), rng))
+        for ring in check_cycle_structure(a):
+            if ring.kind == "component":
+                _assert_min_encoding_matches_reference(a, ring.cycles[0].vertices, False, rng)
+                _assert_min_encoding_matches_reference(a, ring.vertices, False, rng)
+
+
+def test_min_encoding_matches_reference_on_t_units_with_weights(rng):
+    for _ in range(60):
+        w = random_word("T", rng.randrange(1, 40), rng)
+        d = word_to_diagram(w)
+        reduce_diagram(d)
+        t = dehn_normalize(reduce_closed(close_cylindrical(d, 0)))
+        for ring in check_cycle_structure(t):
+            if ring.kind == "component":
+                roots = [v for cyc in ring.cycles for v in cyc.vertices]
+                _assert_min_encoding_matches_reference(t, roots, True, rng)
+
+
+def test_min_encoding_matches_reference_on_symmetric_powers(rng):
+    # w^k keeps k roots tied at the minimum; every tie must run to the end
+    for group in "FT":
+        for _ in range(15):
+            w = random_word(group, rng.randrange(2, 8), rng)
+            k = rng.randrange(2, 6)
+            d = word_to_diagram(Word(group, w.letters * k))
+            reduce_diagram(d)
+            if group == "F":
+                c = reduce_closed(close_annular(d))
+            else:
+                c = dehn_normalize(reduce_closed(close_cylindrical(d, 0)))
+            for ring in check_cycle_structure(c):
+                if ring.kind != "component":
+                    continue
+                if group == "F":
+                    roots = ring.cycles[0].vertices
+                else:
+                    roots = [v for cyc in ring.cycles for v in cyc.vertices]
+                ties = _assert_min_encoding_matches_reference(c, roots, group == "T", rng)
+                assert ties >= 2, (group, w, k)
+
+
+@pytest.mark.parametrize(
+    "streams",
+    [
+        # token ",1" < ",12", but byte ";" > "2": the second stream is less
+        {"a": ["S", ";v1.2:0,1", ";S"], "b": ["S", ";v1.2:0,12", ";S"]},
+        # at the end of the stream the shorter token is a proper prefix: less
+        {"a": ["S", ";v1.2:0,1"], "b": ["S", ";v1.2:0,12"]},
+        # a mismatch that a piece boundary splits, and a tie
+        {"a": ["M", ";+0", ";v3.1"], "b": ["M;", "+0;v", "2.1"], "c": ["M", ";+0", ";v3.1"]},
+        # a paused winner is read further by the next root
+        {"a": ["S", ";+1", ";+2", ";v1.0"], "b": ["S", ";+0", ";+2", ";v1.1"], "c": ["S", ";+0", ";+2", ";v1.0"]},
+    ],
+)
+def test_min_encoding_orders_bytes_not_tokens(monkeypatch, streams):
+    from strandgroups import canonical
+
+    monkeypatch.setattr(canonical, "_pieces", lambda c, root, with_weights: iter(streams[root]))
+    reference = min("".join(pieces) for pieces in streams.values()).encode()
+    for order in itertools.permutations(streams):
+        assert min_encoding(None, order) == reference
+
+
+def test_min_encoding_needs_a_root():
+    with pytest.raises(ValueError):
+        min_encoding(_reduced_annular(parse_word("x0")), [])
 
 
 def test_decorate_free_loop_is_triangle():
@@ -151,3 +224,25 @@ def test_mirror_pairs_not_identified():
     n1, e1 = decorate(_reduced_annular(parse_word("x0")))
     n2, e2 = decorate(_reduced_annular(parse_word("x0^-1")))
     assert not nx.is_isomorphic(nx.Graph(e1), nx.Graph(e2))
+
+
+def test_structure_is_computed_once_per_canonical_form(monkeypatch):
+    from strandgroups import closure, toral
+
+    calls = []
+    search = closure.directed_cycles
+
+    def counted(c):
+        calls.append(c)
+        return search(c)
+
+    monkeypatch.setattr(closure, "directed_cycles", counted)
+    monkeypatch.setattr(toral, "directed_cycles", counted)
+    w = parse_word("x0 x1^-1 x0 x1 x1 x0^-1 x1")
+    canonical_annular(_reduced_annular(w))
+    assert len(calls) == 1
+    calls.clear()
+    d = word_to_diagram(Word("T", w.letters + (Generator("c", 1),)))
+    reduce_diagram(d)
+    toral.canonical_toral(reduce_closed(close_cylindrical(d, 0)))
+    assert len(calls) == 1
