@@ -4,13 +4,16 @@
 V allows strand crossings, so closed diagrams are abstract graphs with
 a cutting cohomology class instead of an embedding.  Conjugacy is
 port-preserving graph isomorphism plus agreement of the cutting classes
-modulo vertex coboundaries, and torsion is visible at a glance: the
-reduced closed diagram of a torsion element is free loops only.
+modulo vertex coboundaries, decided by comparing canonical bytes
+(``canonical_abstract``) as for F and T.  Torsion is visible at a
+glance: the reduced closed diagram of a torsion element is free loops
+only.
 """
 
 import random
 
 from strandgroups import (
+    canonical_abstract,
     closed_form,
     cut_cochain,
     cohomology_equivalent,
@@ -32,6 +35,10 @@ print("\n== conjugacy verdicts ==")
 for s1, s2 in (("pi0", "x0^-1 pi0 x0"), ("x0", "pi0"), ("c pi0", "pi0 c")):
     v = is_conjugate_v(parse_word(s1, "V"), parse_word(s2, "V"))
     print(f"{s1!r} ~ {s2!r}: {v}")
+
+print("\n== canonical forms: equal bytes for conjugates ==")
+for s in ("pi0", "x0^-1 pi0 x0", "x0", "x1^-1 x0 x1"):
+    print(f"{s!r}: {canonical_abstract(closed_form(parse_word(s, 'V'))).blob.decode()}")
 
 print("\n== the cutting class is only defined up to coboundaries ==")
 c = closed_form(parse_word("x0 pi0", "V"))

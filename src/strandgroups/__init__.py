@@ -60,6 +60,7 @@ from .toral import (
     torsion_witness,
 )
 from .vgroup import (
+    canonical_abstract,
     closed_form,
     cohomology_equivalent,
     cut_cochain,
@@ -125,6 +126,7 @@ __all__ = [
     "is_conjugate_t",
     "rotation_number",
     "torsion_witness",
+    "canonical_abstract",
     "closed_form",
     "cohomology_equivalent",
     "cut_cochain",

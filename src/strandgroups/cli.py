@@ -24,9 +24,9 @@ from .closure import close_abstract, close_annular, close_cylindrical, reduce_cl
 from .errors import AlphabetError, ArityMismatch, ParseError, StrandError
 from .io import closed_to_dot, closed_to_json, square_to_dot, square_to_json, to_json_text
 from .oracle import brute_conj_witness, word_to_map
-from .rewrite import encode_square, reduce_diagram
+from .rewrite import reduce_diagram
 from .toral import canonical_toral, is_conjugate_t, rotation_number
-from .vgroup import is_conjugate_v
+from .vgroup import canonical_abstract, is_conjugate_v
 from .words import parse_word, random_word, word_to_diagram, word_to_text
 
 
@@ -41,14 +41,14 @@ def _cmd_reduce(args) -> int:
         for kind, top, bottom in trace:
             print(f"{kind} {top} {bottom}")
     if args.emit_canon:
-        # conjugacy-class canonical form where one exists (F: annular,
-        # T: toral); for V the reduced square encoding identifies the element
+        # the conjugacy-class canonical form: annular for F, toral for T,
+        # abstract for V
         if args.group == "F":
             blob = canonical_annular(reduce_closed(close_annular(d))).blob
         elif args.group == "T":
             blob = canonical_toral(reduce_closed(close_cylindrical(d, 0))).blob
         else:
-            blob = encode_square(d)
+            blob = canonical_abstract(reduce_closed(close_abstract(d))).blob
         print(blob.hex())
     return 0
 

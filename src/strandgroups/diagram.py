@@ -354,26 +354,21 @@ def from_tree_pair(tp: TreePair, cylindrical: bool = False) -> StrandDiagram:
     dom_tails: list[int] = []
     rng_heads: list[int] = []
 
-    def build_splits(t, feed):
-        if t is None:
-            dom_tails.append(feed)
-            return
-        v = d._new_vertex(SPLIT)
-        d._link(feed, 3 * v + 0)
-        build_splits(t[0], 3 * v + 1)
-        build_splits(t[1], 3 * v + 2)
+    def grow(t, port, k, slots, leaves):
+        # pre-order: slots are (edge to parent, left child, right child)
+        stack = [(t, port)]
+        while stack:
+            node, port = stack.pop()
+            if node is None:
+                leaves.append(port)
+                continue
+            v = d._new_vertex(k)
+            d._link(port, 3 * v + slots[0])
+            stack.append((node[1], 3 * v + slots[2]))
+            stack.append((node[0], 3 * v + slots[1]))
 
-    def build_merges(t, drain):
-        if t is None:
-            rng_heads.append(drain)
-            return
-        v = d._new_vertex(MERGE)
-        d._link(3 * v + 2, drain)
-        build_merges(t[0], 3 * v + 0)
-        build_merges(t[1], 3 * v + 1)
-
-    build_splits(tp.domain, source_code(0))
-    build_merges(tp.range_, sink_code(0))
+    grow(tp.domain, source_code(0), SPLIT, (0, 1, 2), dom_tails)
+    grow(tp.range_, sink_code(0), MERGE, (2, 0, 1), rng_heads)
 
     shift = tp.cyclic_shift() if cylindrical else 0
     nl = len(dom_tails)

@@ -18,44 +18,45 @@ def is_leaf(t) -> bool:
 
 
 def num_leaves(t) -> int:
-    if t is None:
-        return 1
-    return num_leaves(t[0]) + num_leaves(t[1])
+    count = 0
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            count += 1
+        else:
+            stack.extend(node)
+    return count
 
 
 def antichain(t) -> list[str]:
     """Leaf addresses of ``t`` in left-to-right order ('' for a lone leaf)."""
     out = []
-
-    def walk(node, prefix):
+    stack = [(t, "")]
+    while stack:
+        node, prefix = stack.pop()
         if node is None:
             out.append(prefix)
         else:
-            walk(node[0], prefix + "0")
-            walk(node[1], prefix + "1")
-
-    walk(t, "")
+            stack.append((node[1], prefix + "1"))
+            stack.append((node[0], prefix + "0"))
     return out
 
 
 def tree_from_antichain(chain) -> tuple | None:
     """Rebuild the tree whose leaves are exactly ``chain`` (sorted or not)."""
-    strings = sorted(chain)
-    if strings == [""]:
-        return LEAF
-
-    def build(lo, hi, depth):
-        # All strings in [lo, hi) share a prefix of length `depth`.
-        if hi - lo == 1 and len(strings[lo]) == depth:
-            return LEAF
-        mid = lo
-        while mid < hi and strings[mid][depth] == "0":
-            mid += 1
-        if mid == lo or mid == hi:
-            raise ValueError("not a complete antichain: %r" % (chain,))
-        return (build(lo, mid, depth + 1), build(mid, hi, depth + 1))
-
-    return build(0, len(strings), 0)
+    # Sorted, the leaves come left to right, so when a right subtree is
+    # finished, its left sibling is finished too and on top of the stack.
+    stack: list[tuple[str, tuple | None]] = []
+    for addr in sorted(chain):
+        node = LEAF
+        while addr.endswith("1") and stack and stack[-1][0] == addr[:-1] + "0":
+            node = (stack.pop()[1], node)
+            addr = addr[:-1]
+        stack.append((addr, node))
+    if len(stack) != 1 or stack[0][0] != "":
+        raise ValueError("not a complete antichain: %r" % (chain,))
+    return stack[0][1]
 
 
 def comb(n: int) -> tuple | None:
@@ -70,11 +71,10 @@ def comb(n: int) -> tuple | None:
 
 def tree_with_cut(s: str) -> tuple | None:
     """Smallest tree in which the dyadic point 0.s is a boundary between leaves."""
-    if s == "":
-        return LEAF
-    if s[0] == "1":
-        return (LEAF, tree_with_cut(s[1:]))
-    return (tree_with_cut(s[1:]), LEAF)
+    t = LEAF
+    for bit in reversed(s):
+        t = (LEAF, t) if bit == "1" else (t, LEAF)
+    return t
 
 
 @dataclass

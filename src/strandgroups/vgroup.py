@@ -7,6 +7,19 @@ directed-graph isomorphism plus equivalence of the cutting cochains
 modulo vertex coboundaries; free loops carry their weight exactly
 (coboundaries vanish on them).
 
+``canonical_abstract`` decides this equality with bytes, the same way
+F and T are decided: each weak component is encoded by the weighted
+traversal of ``canonical.min_encoding``, minimized over every vertex of
+the component as root, and the form is the sorted component encodings
+followed by the sorted free-loop weights.  The traversal numbers
+vertices in discovery order through the ports, so equal encodings give
+a port-preserving isomorphism; its gauge residuals are the cut counts
+summed around the fundamental cycles of the traversal tree, which fix
+the cutting class modulo coboundaries.  V words carry no wrap counts,
+so the wrap residuals are all 0.  The cost is that of the F and T forms
+(a traversal per tied root plus a short prefix per other root), with no
+search over bijections between alike components.
+
 Cochains are dicts keyed like ``cutting_sequence`` carriers: an edge's
 head endpoint, or ("loop", i) for free loop i.
 """
@@ -15,6 +28,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .canonical import CanonicalForm, min_encoding
 from .closure import (
     ClosedDiagram,
     close_abstract,
@@ -83,92 +97,23 @@ def cohomology_equivalent(c: ClosedDiagram, w1: dict, w2: dict) -> bool:
     return True
 
 
-def _component_isos(c1: ClosedDiagram, c2: ClosedDiagram, comp1, anchor2):
-    """Try to extend comp1[0] -> anchor2 to a full component isomorphism."""
-    kind1, kind2 = c1.kind, c2.kind
-    conn1, conn2 = c1.conn, c2.conn
-    v0 = comp1[0]
-    if kind1[v0] != kind2[anchor2]:
-        return None
-    mapping = {v0: anchor2}
-    stack = [v0]
-    while stack:
-        v = stack.pop()
-        w = mapping[v]
-        for s in range(3):
-            p1 = conn1[3 * v + s]
-            p2 = conn2[3 * w + s]
-            if p1 % 3 != p2 % 3:
-                return None
-            u1, u2 = p1 // 3, p2 // 3
-            if kind1[u1] != kind2[u2]:
-                return None
-            if u1 in mapping:
-                if mapping[u1] != u2:
-                    return None
-            else:
-                mapping[u1] = u2
-                stack.append(u1)
-    return mapping
+def canonical_abstract(c: ClosedDiagram) -> CanonicalForm:
+    """Order-comparable encoding of a reduced closed V diagram.
 
-
-def _isomorphisms(c1: ClosedDiagram, c2: ClosedDiagram):
-    """Yield all port-preserving vertex bijections c1 -> c2.
-
-    Ports rigidify everything: fixing the image of one vertex per
-    component forces the rest, so the search is a product over
-    components of anchor choices.
+    Equal forms mean a port-preserving isomorphism under which the
+    cutting classes agree modulo coboundaries, and free-loop weights
+    agree as multisets.  Encodings contain no ``|``, so the join is
+    unambiguous.
     """
-    comps1 = weak_components(c1)
-    comps2 = weak_components(c2)
-    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
-        return
-    verts2 = list(c2.live_vertices())
-
-    def rec(idx, used, acc):
-        if idx == len(comps1):
-            yield dict(acc)
-            return
-        comp = comps1[idx]
-        for w in verts2:
-            if w in used:
-                continue
-            mapping = _component_isos(c1, c2, comp, w)
-            if mapping is None:
-                continue
-            img = set(mapping.values())
-            if img & used:
-                continue
-            acc.update(mapping)
-            yield from rec(idx + 1, used | img, acc)
-            for v in mapping:
-                del acc[v]
-
-    yield from rec(0, set(), {})
+    comps = sorted(min_encoding(c, comp, with_weights=True) for comp in weak_components(c))
+    loops = sorted(len(f.cuts) for f in c.free_loops)
+    blob = b"|".join([b"V%d" % len(comps), *comps, b"L" + b",".join(b"%d" % n for n in loops)])
+    return CanonicalForm(blob, (len(comps), c.num_vertices(), len(loops)))
 
 
 def closed_diagrams_equal(c1: ClosedDiagram, c2: ClosedDiagram) -> bool:
     """Isomorphism with matching cutting class, the V equality notion."""
-    if c1.num_vertices() != c2.num_vertices():
-        return False
-    loops1 = sorted(len(f.cuts) for f in c1.free_loops)
-    loops2 = sorted(len(f.cuts) for f in c2.free_loops)
-    if loops1 != loops2:
-        return False
-    w1 = cut_cochain(c1)
-    w2 = cut_cochain(c2)
-    if c1.num_vertices() == 0:
-        return True  # loops already matched exactly (they deduplicate by class)
-    for phi in _isomorphisms(c1, c2):
-        pulled = {}
-        for _tail, head in c1.edges():
-            v, s = divmod(head, 3)
-            pulled[head] = w2.get(3 * phi[v] + s, 0)
-        for i in range(len(c1.free_loops)):
-            pulled[("loop", i)] = w1.get(("loop", i), 0)  # matched separately
-        if cohomology_equivalent(c1, w1, pulled):
-            return True
-    return False
+    return canonical_abstract(c1) == canonical_abstract(c2)
 
 
 def _v_word(w: Word) -> Word:
@@ -188,7 +133,7 @@ def closed_form(w: Word) -> ClosedDiagram:
 
 
 def is_conjugate_v(w1: Word, w2: Word) -> bool:
-    """Conjugacy in V: isomorphic reduced closed strand diagrams."""
+    """Conjugacy in V: equal canonical forms of the reduced closed diagrams."""
     return closed_diagrams_equal(closed_form(w1), closed_form(w2))
 
 

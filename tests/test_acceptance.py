@@ -22,7 +22,7 @@ from strandgroups.closure import (
 from strandgroups.oracle import brute_conj_witness, equals_identity, word_to_map
 from strandgroups.rewrite import encode_square, reduce_diagram
 from strandgroups.toral import canonical_toral, dehn_twist, is_conjugate_t, rotation_number, torsion_witness
-from strandgroups.vgroup import cohomology_equivalent, is_conjugate_v
+from strandgroups.vgroup import canonical_abstract, cohomology_equivalent, is_conjugate_v
 from strandgroups.words import Generator, Word, parse_word, random_word, word_to_diagram
 
 _ANNULAR_REGISTRY = []
@@ -217,20 +217,56 @@ def _brute_coboundary(c: ClosedDiagram, w1: dict, w2: dict) -> bool:
     return False
 
 
+def _port_automorphisms(c: ClosedDiagram):
+    """Every vertex permutation of ``c`` that preserves kinds and ports."""
+    verts = list(c.live_vertices())
+    for image in itertools.permutations(verts):
+        phi = dict(zip(verts, image))
+        if all(
+            c.kind[phi[v]] == c.kind[v]
+            and c.conn[3 * phi[v] + s] == 3 * phi[c.conn[3 * v + s] // 3] + c.conn[3 * v + s] % 3
+            for v in verts
+            for s in range(3)
+        ):
+            yield phi
+
+
+def _pull_back(w: dict, phi: dict) -> dict:
+    """phi*w: each carrier takes the value of ``w`` on its image under phi."""
+    return {k: w[k if isinstance(k, tuple) else 3 * phi[k // 3] + k % 3] for k in w}
+
+
+def _with_cuts(c: ClosedDiagram, w: dict) -> ClosedDiagram:
+    """A copy of ``c`` whose cut counts are the cochain ``w`` plus 2.
+
+    Cut counts cannot be negative, but a coboundary shift of a 0/1
+    cochain reaches -2.  Adding the same constant to both cochains of a
+    pair keeps both relations the test compares: automorphisms permute
+    the carriers, so they fix a constant cochain.
+    """
+    out = c.copy()
+    out.cuts = {h: [(0,)] * (n + 2) for h, n in w.items() if not isinstance(h, tuple)}
+    for i, f in enumerate(out.free_loops):
+        f.cuts = [(0,)] * (w[("loop", i)] + 2)
+    return out
+
+
 def test_criterion_8_cohomology_vs_brute_force():
     rng = random.Random(108)
     graphs = _enumerate_port_graphs()
     t0 = time.perf_counter()
     checked = 0
+    equal_forms = 0
     for c in graphs:
         carriers = [h for _t, h in c.edges()] + [("loop", i) for i in range(len(c.free_loops))]
+        pairs = []
         for _ in range(3):
             w1 = {k: rng.randrange(0, 2) for k in carriers}
             w2 = {k: rng.randrange(0, 2) for k in carriers}
             fast = cohomology_equivalent(c, w1, w2)
             slow = _brute_coboundary(c, w1, w2)
             assert fast == slow, (c.kind, c.conn, w1, w2)
-            checked += 1
+            pairs.append((w1, w2))
         # a genuine coboundary must always be recognized
         f = {v: rng.randrange(-1, 2) for v in c.live_vertices()}
         w1 = {k: rng.randrange(0, 2) for k in carriers}
@@ -239,11 +275,21 @@ def test_criterion_8_cohomology_vs_brute_force():
             w2[h] += f[h // 3] - f[t_ep // 3]
         assert cohomology_equivalent(c, w1, w2)
         assert _brute_coboundary(c, w1, w2)
-        checked += 1
+        pairs.append((w1, w2))
+        # the V canonical form identifies two cut cochains on one graph
+        # exactly when a port automorphism carries one onto the other
+        # modulo coboundaries
+        autos = list(_port_automorphisms(c))
+        for w1, w2 in pairs:
+            slow = any(cohomology_equivalent(c, w1, _pull_back(w2, phi)) for phi in autos)
+            fast = canonical_abstract(_with_cuts(c, w1)) == canonical_abstract(_with_cuts(c, w2))
+            assert fast == slow, (c.kind, c.conn, w1, w2)
+            equal_forms += fast
+            checked += 1
     elapsed = time.perf_counter() - t0
     print(
         f"ACCEPTANCE 8 (cohomology vs brute force): PASS — {len(graphs)} graphs, "
-        f"{checked} cochain pairs, {elapsed:.1f}s"
+        f"{checked} cochain pairs, {equal_forms} with equal V forms, {elapsed:.1f}s"
     )
 
 
@@ -252,25 +298,28 @@ def test_criterion_9_empirical_linear_reduction():
 
     rng = random.Random(42)
     reduce_diagram(word_to_diagram(random_word("F", 100, rng)))  # warm templates
-    times = {}
+    sizes = (10**3, 10**4, 10**5, 10**6)
+    samples = {n: [] for n in sizes}
     gc.disable()
     try:
         # single runs at millisecond scale are noise-dominated; use the
         # same repetition count everywhere (per-step minimum) so decade
-        # ratios compare like against like
-        for n in (10**3, 10**4, 10**5, 10**6):
-            samples = []
-            for _ in range(3):
+        # ratios compare like against like, and take the repetitions
+        # round-robin over the sizes so that a slow phase of the host
+        # does not land on one size only
+        for _ in range(3):
+            for n in sizes:
                 w = random_word("F", n, rng)
                 t0 = time.perf_counter()
                 d = word_to_diagram(w)
                 t1 = time.perf_counter()
                 reduce_diagram(d)
                 t2 = time.perf_counter()
-                samples.append((t1 - t0, t2 - t1, t2 - t0))
-            times[n] = tuple(min(s[i] for s in samples) for i in range(3))
+                samples[n].append((t1 - t0, t2 - t1, t2 - t0))
+                del w, d  # so two 10^6-letter diagrams never coexist
     finally:
         gc.enable()
+    times = {n: tuple(min(s[i] for s in samples[n]) for i in range(3)) for n in sizes}
     for small, big in ((10**3, 10**4), (10**4, 10**5), (10**5, 10**6)):
         for step in range(3):
             ratio = times[big][step] / max(times[small][step], 1e-9)

@@ -41,6 +41,17 @@ def test_reduce_counts_and_canon(capsys):
     assert out2.splitlines()[1] == lines[1]
 
 
+def test_reduce_canon_v_is_a_conjugacy_class_form(capsys):
+    def canon(word):
+        code, out, _ = run(capsys, "reduce", "-g", "V", "--emit-canon", word)
+        assert code == 0
+        return out.splitlines()[1]
+
+    pi0 = canon("pi0")
+    assert canon("x0^-1 pi0 x0") == pi0
+    assert canon("x0") != pi0
+
+
 def test_reduce_trace(capsys):
     code, out, _ = run(capsys, "reduce", "--trace", "x0 x0^-1")
     lines = out.splitlines()

@@ -21,7 +21,7 @@ from strandgroups.rewrite import (
     reduce_diagram,
     to_tree_pair,
 )
-from strandgroups.trees import identity_pair
+from strandgroups.trees import LEAF, TreePair, antichain, comb, identity_pair
 from strandgroups.words import GENERATOR_PAIRS, parse_word, random_word, word_to_diagram
 
 from conftest import random_tree_pair
@@ -186,6 +186,26 @@ def test_to_tree_pair_roundtrip(rng):
         got = to_tree_pair(d)
         # cutting a reduced diagram recovers the minimized tree pair
         assert treepair_to_map(got) == minimize(treepair_to_map(tp))
+
+
+def test_deep_tree_pairs_roundtrip():
+    # 5,000 levels, far past the interpreter's recursion limit
+    n = 5000
+    left_comb = LEAF
+    for _ in range(n - 1):
+        left_comb = (left_comb, LEAF)
+    tp = TreePair(comb(n), left_comb, tuple(range(n)))
+    got = to_tree_pair(from_tree_pair(tp))
+    # deep tuples cannot be compared with ==, their leaf addresses can
+    assert antichain(got.domain) == antichain(tp.domain)
+    assert antichain(got.range_) == antichain(tp.range_)
+    assert got.bijection == tp.bijection
+
+    d = word_to_diagram(parse_word(" ".join(["x0"] * n)))
+    reduce_diagram(d)
+    tp = to_tree_pair(d)
+    assert tp.n_leaves == n + 2
+    assert encode_square(from_tree_pair(tp)) == encode_square(d)
 
 
 def test_reduction_count_bound(rng):

@@ -9,10 +9,11 @@ from strandgroups.closure import (
     close_abstract,
     find_closed_redexes,
     reduce_closed,
+    weak_components,
 )
 from strandgroups.canonical import is_conjugate_f
 from strandgroups.errors import AlphabetError
-from strandgroups.oracle import map_power, word_to_map, equals_identity
+from strandgroups.oracle import PrefixMap, map_power, word_from_map_f, word_to_map, equals_identity
 from strandgroups.vgroup import (
     closed_diagrams_equal,
     closed_form,
@@ -171,6 +172,31 @@ def test_closed_diagrams_equal_reflexive(rng):
     for _ in range(40):
         w = random_word("V", rng.randrange(0, 10), rng)
         assert closed_diagrams_equal(closed_form(w), closed_form(w))
+
+
+def _block_word(d: int, inverted=None) -> Word:
+    """x0 on each of the 2^d dyadic blocks; block ``inverted`` carries x0^-1."""
+    dom, rng_ = [], []
+    for i in range(2**d):
+        b = format(i, f"0{d}b")
+        up, down = [b + "00", b + "01", b + "1"], [b + "0", b + "10", b + "11"]
+        if i == inverted:
+            up, down = down, up
+        dom += up
+        rng_ += down
+    return word_from_map_f(PrefixMap(tuple(dom), tuple(rng_), tuple(range(len(dom)))), "V")
+
+
+def test_many_identical_components():
+    # 16 alike components: a search over bijections between them would
+    # try up to 16! matchings; the canonical form sorts 16 encodings
+    b = _block_word(4)
+    g = parse_word("x1 pi0 x0^-1 c", "V")
+    c = closed_form(b)
+    assert sorted(map(len, weak_components(c))) == [2] * 16 and not c.free_loops
+    assert is_conjugate_v(b, g.inverse() * b * g)
+    assert not is_conjugate_v(b, _block_word(4, inverted=5))
+    assert not is_conjugate_v(g.inverse() * b * g, _block_word(4, inverted=0))
 
 
 def test_alphabet_guard():
