@@ -46,7 +46,6 @@ from .closure import (
     close_annular,
     close_cylindrical,
     cutting_sequence,
-    find_closed_redexes,
     reduce_closed,
     ring_decomposition,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "close_annular",
     "close_cylindrical",
     "cutting_sequence",
-    "find_closed_redexes",
     "reduce_closed",
     "ring_decomposition",
     "CanonicalForm",

@@ -33,12 +33,11 @@ from .closure import (
     Ring,
     close_annular,
     check_cycle_structure,
-    find_closed_redexes,
     reduce_closed,
     ring_decomposition,
 )
 from .errors import AlphabetError, NotReduced
-from .rewrite import reduce_diagram
+from .rewrite import find_redexes, reduce_diagram
 from .words import Word, word_to_diagram
 
 
@@ -188,7 +187,7 @@ def canonical_annular(a: ClosedDiagram) -> CanonicalForm:
     Equal blobs mean isotopic diagrams; the radial ring order is read
     off the cut positions.  Raises NotReduced on unreduced input.
     """
-    redexes = find_closed_redexes(a)
+    redexes = find_redexes(a)
     if redexes:
         raise NotReduced(f"diagram has redex {redexes[0]}")
     rings = check_cycle_structure(a)

@@ -13,15 +13,14 @@ Per edge we keep:
            crossing count is the meridian weight,
     long : crossings with the longitudinal line (toral mode only).
 
-Reduction moves I and II splice edges; spliced cut lists concatenate
-along the surviving strand.  A type I bigon may only cancel when both
-parallel edges are homotopic rel the reference curves (equal cut count
-and equal wrap), and the kept strand inherits the left edge's cuts; the
-disc between the edges is provably empty, so no foreign cut separates
-the two lists and the global order is preserved.  When a splice closes
-up on itself the strand becomes a free loop.  Type III (merging two
-free loops) runs after moves I/II are exhausted, merging loops of equal
-class that are adjacent in the recovered ring order.
+Moves I and II run on the shared core of ``rewrite``; the closed half
+of a move is ``ClosedDiagram.splice``.  Spliced cut lists concatenate
+along the surviving strand, and the kept strand of a type I bigon
+inherits the left edge's cuts: the disc between the edges is empty, so
+the global cut order is preserved.  A strand that closes up on itself
+becomes a free loop.  Type III (merging two free loops) runs after
+moves I/II are exhausted, merging loops of equal class that are
+adjacent in the recovered ring order.
 """
 
 from __future__ import annotations
@@ -29,8 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diagram import DEAD, MERGE, SPLIT, StrandDiagram, sink_index
-from .errors import ArityMismatch, NotReduced, StaleRedex, StructureViolation
+from .diagram import DEAD, MERGE, SPLIT, TYPE_I, StrandDiagram, sink_index
+from .errors import ArityMismatch, NotReduced, StructureViolation
+from .rewrite import find_redexes, reduce_diagram
 
 ANNULAR = "annular"
 TORAL = "toral"
@@ -91,6 +91,86 @@ class ClosedDiagram:
     def edge_class(self, head: int) -> tuple[int, int]:
         """(meridian weight, wrap count) of the edge arriving at ``head``."""
         return (len(self.cuts.get(head, ())), self.long.get(head, 0))
+
+    def splice(self, t: str, u: int, v: int) -> list[int]:
+        """Fire move ``t`` with top u and bottom v; returns the tail
+        endpoints of the freshly spliced edges."""
+        conn = self.conn
+        cuts = self.cuts
+        long = self.long
+        if t == TYPE_I:
+            lane_cuts = cuts.pop(3 * v, [])
+            cuts.pop(3 * v + 1, None)
+            lane_lw = long.pop(3 * v, 0)
+            long.pop(3 * v + 1, None)
+            lanes = [(3 * u, 3 * v + 2, lane_cuts, lane_lw)]
+        else:
+            cm = cuts.pop(3 * v, [])
+            lm = long.pop(3 * v, 0)
+            # the two lanes run parallel where the middle edge was; the left
+            # lane is radially inner, so its cut copies sort first
+            lanes = [
+                (3 * u, 3 * v + 1, [p + (0,) for p in cm], lm),
+                (3 * u + 1, 3 * v + 2, [p + (1,) for p in cm], lm),
+            ]
+        entry_of = {lane[0]: idx for idx, lane in enumerate(lanes)}
+        exits = {lane[1] for lane in lanes}
+        consumed = [False] * len(lanes)
+        touched = []
+
+        for idx, (entry, _exit, _lc, _lw) in enumerate(lanes):
+            tail = conn[entry]
+            if tail in exits:
+                continue  # traversed mid-chain or part of a closed orbit
+            acc_cuts = list(cuts.pop(entry, ()))
+            acc_lw = long.pop(entry, 0)
+            cur = idx
+            while True:
+                consumed[cur] = True
+                acc_cuts.extend(lanes[cur][2])
+                acc_lw += lanes[cur][3]
+                head = conn[lanes[cur][1]]
+                nxt = entry_of.get(head)
+                if nxt is not None:
+                    assert not consumed[nxt], "lane chain re-entered itself"
+                    acc_cuts.extend(cuts.pop(head, ()))
+                    acc_lw += long.pop(head, 0)
+                    cur = nxt
+                    continue
+                acc_cuts.extend(cuts.pop(head, ()))
+                acc_lw += long.pop(head, 0)
+                conn[tail] = head
+                conn[head] = tail
+                if acc_cuts:
+                    cuts[head] = acc_cuts
+                if acc_lw:
+                    long[head] = acc_lw
+                touched.append(tail)
+                break
+
+        for idx in range(len(lanes)):
+            if consumed[idx]:
+                continue
+            # closed orbit through the lanes: a free loop is born
+            acc_cuts = []
+            acc_lw = 0
+            cur = idx
+            while not consumed[cur]:
+                consumed[cur] = True
+                entry = lanes[cur][0]
+                acc_cuts.extend(cuts.pop(entry, ()))
+                acc_lw += long.pop(entry, 0)
+                acc_cuts.extend(lanes[cur][2])
+                acc_lw += lanes[cur][3]
+                head = conn[lanes[cur][1]]
+                nxt = entry_of.get(head)
+                assert nxt is not None, "open chain found in loop sweep"
+                cur = nxt
+            self.free_loops.append(FreeLoop(acc_cuts, acc_lw))
+
+        self.kind[u] = DEAD
+        self.kind[v] = DEAD
+        return touched
 
     def validate_positive(self) -> None:
         """Every directed cycle must have positive total meridian weight.
@@ -236,185 +316,12 @@ def close_abstract(d: StrandDiagram, perm=None) -> ClosedDiagram:
     return _close(d, CLOSED, lambda i: p[i])
 
 
-# -- redexes and reduction ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedRedex:
-    kind: str  # "I" or "II"
-    top: int
-    bottom: int
-
-
-def _closed_redex_at(c: ClosedDiagram, u: int):
-    kind = c.kind
-    conn = c.conn
-    k = kind[u]
-    if k == SPLIT:
-        x = conn[3 * u + 1]
-        if (
-            x >= 0
-            and x % 3 == 0
-            and kind[x // 3] == MERGE
-            and conn[3 * u + 2] == x + 1
-            and c.edge_class(x) == c.edge_class(x + 1)
-        ):
-            return ("I", x // 3)
-    elif k == MERGE:
-        x = conn[3 * u + 2]
-        if x >= 0 and x % 3 == 0 and kind[x // 3] == SPLIT:
-            return ("II", x // 3)
-    return None
-
-
-def find_closed_redexes(c: ClosedDiagram) -> list[ClosedRedex]:
-    out = []
-    for u in c.live_vertices():
-        hit = _closed_redex_at(c, u)
-        if hit is not None:
-            out.append(ClosedRedex(hit[0], u, hit[1]))
-    return out
-
-
-def _apply_closed(c: ClosedDiagram, t: str, u: int, v: int) -> list[int]:
-    """Fire a move; returns tail endpoints of freshly spliced edges."""
-    conn = c.conn
-    cuts = c.cuts
-    long = c.long
-    if t == "I":
-        lane_cuts = cuts.pop(3 * v, [])
-        cuts.pop(3 * v + 1, None)
-        lane_lw = long.pop(3 * v, 0)
-        long.pop(3 * v + 1, None)
-        lanes = [(3 * u, 3 * v + 2, lane_cuts, lane_lw)]
-    else:
-        cm = cuts.pop(3 * v, [])
-        lm = long.pop(3 * v, 0)
-        # the two lanes run parallel where the middle edge was; the left
-        # lane is radially inner, so its cut copies sort first
-        lanes = [
-            (3 * u, 3 * v + 1, [p + (0,) for p in cm], lm),
-            (3 * u + 1, 3 * v + 2, [p + (1,) for p in cm], lm),
-        ]
-    entry_of = {lane[0]: idx for idx, lane in enumerate(lanes)}
-    exits = {lane[1] for lane in lanes}
-    consumed = [False] * len(lanes)
-    touched = []
-
-    for idx, (entry, _exit, _lc, _lw) in enumerate(lanes):
-        tail = conn[entry]
-        if tail in exits:
-            continue  # traversed mid-chain or part of a closed orbit
-        acc_cuts = list(cuts.pop(entry, ()))
-        acc_lw = long.pop(entry, 0)
-        cur = idx
-        while True:
-            consumed[cur] = True
-            acc_cuts.extend(lanes[cur][2])
-            acc_lw += lanes[cur][3]
-            head = conn[lanes[cur][1]]
-            nxt = entry_of.get(head)
-            if nxt is not None:
-                assert not consumed[nxt], "lane chain re-entered itself"
-                acc_cuts.extend(cuts.pop(head, ()))
-                acc_lw += long.pop(head, 0)
-                cur = nxt
-                continue
-            acc_cuts.extend(cuts.pop(head, ()))
-            acc_lw += long.pop(head, 0)
-            conn[tail] = head
-            conn[head] = tail
-            if acc_cuts:
-                cuts[head] = acc_cuts
-            if acc_lw:
-                long[head] = acc_lw
-            touched.append(tail)
-            break
-
-    for idx in range(len(lanes)):
-        if consumed[idx]:
-            continue
-        # closed orbit through the lanes: a free loop is born
-        acc_cuts = []
-        acc_lw = 0
-        cur = idx
-        while not consumed[cur]:
-            consumed[cur] = True
-            entry = lanes[cur][0]
-            acc_cuts.extend(cuts.pop(entry, ()))
-            acc_lw += long.pop(entry, 0)
-            acc_cuts.extend(lanes[cur][2])
-            acc_lw += lanes[cur][3]
-            head = conn[lanes[cur][1]]
-            nxt = entry_of.get(head)
-            assert nxt is not None, "open chain found in loop sweep"
-            cur = nxt
-        c.free_loops.append(FreeLoop(acc_cuts, acc_lw))
-
-    c.kind[u] = DEAD
-    c.kind[v] = DEAD
-    return touched
-
-
-def apply_closed_redex(c: ClosedDiagram, r: ClosedRedex) -> ClosedDiagram:
-    kind = c.kind
-    if r.top >= len(kind) or kind[r.top] == DEAD or kind[r.bottom] == DEAD:
-        raise StaleRedex(f"redex {r} references removed vertices")
-    hit = _closed_redex_at(c, r.top)
-    if hit is None or hit != (r.kind, r.bottom):
-        raise StaleRedex(f"redex {r} no longer matches the diagram")
-    _apply_closed(c, r.kind, r.top, r.bottom)
-    return c
+# -- reduction ----------------------------------------------------------------
 
 
 def reduce_closed(c: ClosedDiagram, order: str = "frontier", rng=None) -> ClosedDiagram:
     """Apply moves I/II to exhaustion, then merge adjacent free loops."""
-    kind = c.kind
-    if order == "random":
-        pairs = []
-        for u in c.live_vertices():
-            hit = _closed_redex_at(c, u)
-            if hit is not None:
-                pairs.append((u, hit[1], hit[0]))
-        while pairs:
-            i = rng.randrange(len(pairs))
-            pairs[i], pairs[-1] = pairs[-1], pairs[i]
-            u, v, t = pairs.pop()
-            if kind[u] == DEAD or kind[v] == DEAD:
-                continue
-            hit = _closed_redex_at(c, u)
-            if hit is None or hit != (t, v):
-                continue
-            for tail in _apply_closed(c, t, u, v):
-                w = tail // 3
-                if kind[w] != DEAD:
-                    hit2 = _closed_redex_at(c, w)
-                    if hit2 is not None:
-                        pairs.append((w, hit2[1], hit2[0]))
-    elif order == "frontier":
-        candidates = range(len(kind))
-        while True:
-            pairs = []
-            for u in candidates:
-                if kind[u] == DEAD:
-                    continue
-                hit = _closed_redex_at(c, u)
-                if hit is not None:
-                    pairs.append((u, hit[1], hit[0]))
-            if not pairs:
-                break
-            touched = []
-            for u, v, t in pairs:
-                if kind[u] == DEAD or kind[v] == DEAD:
-                    continue
-                hit = _closed_redex_at(c, u)
-                if hit is None or hit != (t, v):
-                    continue
-                touched.extend(_apply_closed(c, t, u, v))
-            candidates = sorted({e // 3 for e in touched if kind[e // 3] != DEAD})
-    else:
-        raise ValueError(f"unknown reduction order {order!r}")
-
+    reduce_diagram(c, order, rng)
     _merge_free_loops(c)
     return c
 
@@ -630,7 +537,7 @@ def ring_decomposition(c: ClosedDiagram, cycles: list[Cycle] | None = None) -> l
     """Rings ordered radially (annular) or cyclically from the first cut
     (toral).  Requires a reduced diagram; ``cycles``, when given, must be
     ``directed_cycles(c)``."""
-    redexes = find_closed_redexes(c)
+    redexes = find_redexes(c)
     if redexes:
         raise NotReduced(f"diagram has redex {redexes[0]}")
 

@@ -35,6 +35,9 @@ DEAD = 2
 
 TOMB = -1
 
+TYPE_I = "I"
+TYPE_II = "II"
+
 
 def source_code(i: int) -> int:
     return -2 - 2 * i
@@ -140,10 +143,45 @@ class StrandDiagram:
             elif k == MERGE:
                 yield (3 * v + 2, conn[3 * v + 2])
 
-    def edge_long(self, head: int) -> int:
-        if self.long is None:
-            return 0
-        return self.long.get(head, 0)
+    def edge_class(self, head: int) -> int:
+        """Wrap count of the edge arriving at ``head``: a type I bigon
+        cancels only when both of its edges have the same class."""
+        long = self.long
+        return 0 if long is None else long.get(head, 0)
+
+    def splice(self, t: str, u: int, v: int) -> tuple[int, ...]:
+        """Fire move ``t`` with top u and bottom v; returns the tails of
+        the spliced edges (boundary codes included)."""
+        conn = self.conn
+        long = self.long
+        a = conn[3 * u]
+        if t == TYPE_I:
+            e = conn[3 * v + 2]
+            if long is not None:
+                w = long.pop(3 * u, 0) + long.pop(3 * v, 0) + long.pop(e, 0)
+                long.pop(3 * v + 1, None)
+                if w:
+                    long[e] = w
+            self._link(a, e)
+            tails = (a,)
+        else:
+            b = conn[3 * u + 1]
+            c = conn[3 * v + 1]
+            e = conn[3 * v + 2]
+            if long is not None:
+                wm = long.pop(3 * v, 0)
+                wl = long.pop(3 * u, 0) + wm + long.pop(c, 0)
+                wr = long.pop(3 * u + 1, 0) + wm + long.pop(e, 0)
+                if wl:
+                    long[c] = wl
+                if wr:
+                    long[e] = wr
+            self._link(a, c)
+            self._link(b, e)
+            tails = (a, b)
+        self.kind[u] = DEAD
+        self.kind[v] = DEAD
+        return tails
 
     def copy(self) -> "StrandDiagram":
         d = StrandDiagram()

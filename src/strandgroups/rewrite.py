@@ -1,4 +1,4 @@
-"""Confluent reduction of square strand diagrams to unique reduced form.
+"""Confluent reduction of strand diagrams, square and closed, by one core.
 
 Two local moves:
 
@@ -9,27 +9,45 @@ Two local moves:
               vertices vanish and the strands reconnect left-to-left,
               right-to-right.
 
-On cylindrical diagrams (wrap counts present) a type I bigon may only
-cancel when both parallel edges carry the same wrap count, i.e. when
-the bigon spans a disc on the cylinder.
+The redex finder, ``apply_redex`` and the worklist driver take a square
+``StrandDiagram`` or a ``closure.ClosedDiagram``.  Two hooks on the
+diagram class are all that differ by kind:
 
-``reduce_diagram`` runs the frontier worklist: find all currently
-reducible vertices, fire those moves, then re-examine only vertices
-adjacent to the rewiring, until no redex remains.  Total work is linear
-in practice; per-round sizes are exposed for measurement.  A randomized
-strategy exists purely so tests can exercise confluence.
+    edge_class(head) : the type I bigon rule.  A bigon cancels only when
+                       both parallel edges have the same class, i.e. when
+                       it spans a disc.  Plain square diagrams have class
+                       0 everywhere; cylindrical ones use the wrap count;
+                       closed ones use the cut count and the wrap count.
+    splice(t, u, v)  : fire the move and return the tails of the spliced
+                       edges.  The square splice writes boundary codes;
+                       the closed splice concatenates cut lists and turns
+                       a strand that closes up on itself into a free loop.
+
+``reduce_diagram`` runs the frontier worklist by default: find all
+currently reducible vertices, fire those moves, then re-examine only
+vertices adjacent to the rewiring, until no redex remains.  Total work
+is linear in practice; per-round sizes are exposed for measurement.
+``order="random"`` fires redexes in random order, purely so tests can
+exercise confluence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import DEAD, MERGE, SPLIT, StrandDiagram, is_sink_code, sink_code, source_code
+from .diagram import (
+    DEAD,
+    MERGE,
+    SPLIT,
+    TYPE_I,
+    TYPE_II,
+    StrandDiagram,
+    is_sink_code,
+    sink_code,
+    source_code,
+)
 from .errors import ArityMismatch, NotReduced, StaleRedex
 from .trees import TreePair, tree_from_antichain
-
-TYPE_I = "I"
-TYPE_II = "II"
 
 
 @dataclass(frozen=True)
@@ -55,10 +73,10 @@ class ReductionStats:
         return sum(v for _, v in self.rounds)
 
 
-def _redex_at(d: StrandDiagram, u: int):
+def _redex_at(g, u: int):
     """Return (type, bottom) if vertex u is the top of a redex, else None."""
-    kind = d.kind
-    conn = d.conn
+    kind = g.kind
+    conn = g.conn
     k = kind[u]
     if k == SPLIT:
         x = conn[3 * u + 1]
@@ -67,10 +85,9 @@ def _redex_at(d: StrandDiagram, u: int):
             and x % 3 == 0
             and kind[x // 3] == MERGE
             and conn[3 * u + 2] == x + 1
+            and g.edge_class(x) == g.edge_class(x + 1)
         ):
-            long = d.long
-            if long is None or long.get(x, 0) == long.get(x + 1, 0):
-                return (TYPE_I, x // 3)
+            return (TYPE_I, x // 3)
     elif k == MERGE:
         x = conn[3 * u + 2]
         if x >= 0 and x % 3 == 0 and kind[x // 3] == SPLIT:
@@ -78,162 +95,88 @@ def _redex_at(d: StrandDiagram, u: int):
     return None
 
 
-def find_redexes(d: StrandDiagram) -> list[Redex]:
+def _scan(g, candidates) -> list[tuple[int, int, str]]:
+    """(top, bottom, type) of every redex topped by a live candidate."""
+    kind = g.kind
+    pairs = []
+    for u in candidates:
+        if kind[u] != DEAD:
+            hit = _redex_at(g, u)
+            if hit is not None:
+                pairs.append((u, hit[1], hit[0]))
+    return pairs
+
+
+def find_redexes(g) -> list[Redex]:
     """All current redexes, ordered by top vertex id."""
-    out = []
-    for u in d.live_vertices():
-        hit = _redex_at(d, u)
-        if hit is not None:
-            out.append(Redex(hit[0], u, hit[1]))
-    return out
+    return [Redex(t, u, v) for u, v, t in _scan(g, range(len(g.kind)))]
 
 
-def _apply_type1(d: StrandDiagram, u: int, v: int) -> int:
-    """Remove split u and merge v; returns the tail of the spliced edge."""
-    conn = d.conn
-    a = conn[3 * u]
-    e = conn[3 * v + 2]
-    long = d.long
-    if long is not None:
-        w = long.pop(3 * u, 0) + long.pop(3 * v, 0) + long.pop(e, 0)
-        long.pop(3 * v + 1, None)
-        if w:
-            long[e] = w
-    d._link(a, e)
-    d.kind[u] = DEAD
-    d.kind[v] = DEAD
-    return a
-
-
-def _apply_type2(d: StrandDiagram, u: int, v: int) -> tuple[int, int]:
-    """Remove merge u and split v; returns tails of the two spliced edges."""
-    conn = d.conn
-    a = conn[3 * u]
-    b = conn[3 * u + 1]
-    c = conn[3 * v + 1]
-    e = conn[3 * v + 2]
-    long = d.long
-    if long is not None:
-        wm = long.pop(3 * v, 0)
-        wl = long.pop(3 * u, 0) + wm + long.pop(c, 0)
-        wr = long.pop(3 * u + 1, 0) + wm + long.pop(e, 0)
-        if wl:
-            long[c] = wl
-        if wr:
-            long[e] = wr
-    d._link(a, c)
-    d._link(b, e)
-    d.kind[u] = DEAD
-    d.kind[v] = DEAD
-    return a, b
-
-
-def apply_redex(d: StrandDiagram, r: Redex) -> StrandDiagram:
+def apply_redex(g, r: Redex):
     """Fire one redex in place; raises StaleRedex if it is no longer valid."""
-    kind = d.kind
+    kind = g.kind
     if r.top >= len(kind) or kind[r.top] == DEAD or kind[r.bottom] == DEAD:
         raise StaleRedex(f"redex {r} references removed vertices")
-    hit = _redex_at(d, r.top)
-    if hit is None or hit != (r.kind, r.bottom):
+    if _redex_at(g, r.top) != (r.kind, r.bottom):
         raise StaleRedex(f"redex {r} no longer matches the diagram")
-    if r.kind == TYPE_I:
-        _apply_type1(d, r.top, r.bottom)
-    else:
-        _apply_type2(d, r.top, r.bottom)
-    return d
+    g.splice(r.kind, r.top, r.bottom)
+    return g
 
 
 def reduce_diagram(
-    d: StrandDiagram,
+    g,
     order: str = "frontier",
     rng=None,
     stats: ReductionStats | None = None,
     trace: list | None = None,
-) -> StrandDiagram:
-    """Reduce ``d`` in place until no redex remains; returns ``d``.
+):
+    """Reduce ``g`` in place until no redex remains; returns ``g``.
 
     ``order="frontier"`` is the deterministic worklist (lowest top id
-    first inside a round).  ``order="random"`` needs an ``rng`` and
-    fires redexes in random order.
+    first inside a round) and fills ``stats``.  ``order="random"`` needs
+    an ``rng`` and fires redexes in random order.  ``trace`` collects
+    the fired moves as (type, top, bottom).
     """
-    if order == "random":
-        return _reduce_random(d, rng, trace)
-    if order != "frontier":
+    if order not in ("frontier", "random"):
         raise ValueError(f"unknown reduction order {order!r}")
-
-    kind = d.kind
-    conn = d.conn
-    candidates = range(len(kind))
-    while True:
-        pairs = []
-        for u in candidates:
-            if kind[u] == DEAD:
-                continue
-            hit = _redex_at(d, u)
-            if hit is not None:
-                pairs.append((u, hit[1], hit[0]))
-        if not pairs:
-            if stats is not None and isinstance(candidates, list):
-                stats.rounds.append((0, len(candidates)))
-            break
-        removed = 0
-        touched = []
-        for u, v, t in pairs:
-            if kind[u] == DEAD or kind[v] == DEAD:
-                continue
-            hit = _redex_at(d, u)
-            if hit is None or hit != (t, v):
+    kind = g.kind
+    splice = g.splice
+    if order == "random":
+        pairs = _scan(g, range(len(kind)))
+        while pairs:
+            i = rng.randrange(len(pairs))
+            pairs[i], pairs[-1] = pairs[-1], pairs[i]
+            u, v, t = pairs.pop()
+            if kind[u] == DEAD or kind[v] == DEAD or _redex_at(g, u) != (t, v):
                 continue
             if trace is not None:
                 trace.append((t, u, v))
-            if t == TYPE_I:
-                a = _apply_type1(d, u, v)
+            for a in splice(t, u, v):
+                if a >= 0:
+                    pairs.extend(_scan(g, (a // 3,)))
+        return g
+
+    candidates = range(len(kind))
+    while True:
+        removed = 0
+        touched = []
+        # the first redex of a round always fires, so a round that
+        # removes nothing found nothing
+        for u, v, t in _scan(g, candidates):
+            if kind[u] == DEAD or kind[v] == DEAD or _redex_at(g, u) != (t, v):
+                continue
+            if trace is not None:
+                trace.append((t, u, v))
+            for a in splice(t, u, v):
                 if a >= 0:
                     touched.append(a // 3)
-            else:
-                a, b = _apply_type2(d, u, v)
-                if a >= 0:
-                    touched.append(a // 3)
-                if b >= 0:
-                    touched.append(b // 3)
             removed += 2
-        if stats is not None:
-            examined = len(candidates) if isinstance(candidates, list) else len(kind)
-            stats.rounds.append((removed, examined))
+        if stats is not None and (removed or isinstance(candidates, list)):
+            stats.rounds.append((removed, len(candidates)))
             stats.moves += removed // 2
+        if not removed:
+            return g
         candidates = sorted(set(w for w in touched if kind[w] != DEAD))
-    return d
-
-
-def _reduce_random(d: StrandDiagram, rng, trace=None) -> StrandDiagram:
-    kind = d.kind
-    pairs = []
-    for u in d.live_vertices():
-        hit = _redex_at(d, u)
-        if hit is not None:
-            pairs.append((u, hit[1], hit[0]))
-    while pairs:
-        i = rng.randrange(len(pairs))
-        pairs[i], pairs[-1] = pairs[-1], pairs[i]
-        u, v, t = pairs.pop()
-        if kind[u] == DEAD or kind[v] == DEAD:
-            continue
-        hit = _redex_at(d, u)
-        if hit is None or hit != (t, v):
-            continue
-        if trace is not None:
-            trace.append((t, u, v))
-        if t == TYPE_I:
-            tails = (_apply_type1(d, u, v),)
-        else:
-            tails = _apply_type2(d, u, v)
-        for a in tails:
-            if a >= 0:
-                w = a // 3
-                hit = _redex_at(d, w)
-                if hit is not None:
-                    pairs.append((w, hit[1], hit[0]))
-    return d
 
 
 # -- cutting a reduced (1,1)-diagram back into a tree pair -------------------

@@ -39,12 +39,11 @@ from .closure import (
     check_cycle_structure,
     close_cylindrical,
     directed_cycles,
-    find_closed_redexes,
     reduce_closed,
 )
 from .errors import AlphabetError, NotReduced, StructureViolation
 from .oracle import PrefixMap, word_from_map_t
-from .rewrite import reduce_diagram
+from .rewrite import find_redexes, reduce_diagram
 from .trees import antichain, comb
 from .words import ALPHABETS, Word, word_to_diagram
 
@@ -85,7 +84,7 @@ def dehn_twist(t: ClosedDiagram, times: int = 1) -> ClosedDiagram:
 def _normalize(t: ClosedDiagram) -> tuple[list[Cycle], int, int]:
     """``dehn_normalize`` in place; returns the directed cycles (a twist
     changes wraps, not cycles) and the normalized class (n, k)."""
-    if find_closed_redexes(t):
+    if find_redexes(t):
         raise NotReduced("normalize after reducing")
     cycles = directed_cycles(t)
     n, k = cycle_class(t, cycles)

@@ -106,13 +106,23 @@ def canonical_abstract(c: ClosedDiagram) -> CanonicalForm:
     unambiguous.
     """
     comps = sorted(min_encoding(c, comp, with_weights=True) for comp in weak_components(c))
-    loops = sorted(len(f.cuts) for f in c.free_loops)
+    loops = _loop_weights(c)
     blob = b"|".join([b"V%d" % len(comps), *comps, b"L" + b",".join(b"%d" % n for n in loops)])
     return CanonicalForm(blob, (len(comps), c.num_vertices(), len(loops)))
 
 
+def _loop_weights(c: ClosedDiagram) -> list[int]:
+    return sorted(len(f.cuts) for f in c.free_loops)
+
+
 def closed_diagrams_equal(c1: ClosedDiagram, c2: ClosedDiagram) -> bool:
-    """Isomorphism with matching cutting class, the V equality notion."""
+    """Isomorphism with matching cutting class, the V equality notion.
+
+    Equal forms have equal vertex counts and free-loop weights, so those
+    are compared first and most unequal pairs are never encoded.
+    """
+    if c1.num_vertices() != c2.num_vertices() or _loop_weights(c1) != _loop_weights(c2):
+        return False
     return canonical_abstract(c1) == canonical_abstract(c2)
 
 

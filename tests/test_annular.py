@@ -8,13 +8,13 @@ from strandgroups.closure import (
     check_cycle_structure,
     close_annular,
     cutting_sequence,
-    find_closed_redexes,
     reduce_closed,
     ring_decomposition,
 )
+from strandgroups.canonical import canonical_annular
 from strandgroups.diagram import StrandDiagram, sink_code, source_code, vine
 from strandgroups.errors import ArityMismatch, NotReduced, StructureViolation
-from strandgroups.rewrite import reduce_diagram
+from strandgroups.rewrite import apply_redex, find_redexes, reduce_diagram
 from strandgroups.words import parse_word, random_word, word_to_diagram
 
 
@@ -67,6 +67,14 @@ def test_reduce_commutes_with_square_reduction(rng):
         assert s1 == s2
 
 
+def test_frontier_and_random_give_one_form(rng):
+    for _ in range(150):
+        w = random_word("F", rng.randrange(0, 30), rng)
+        a1 = reduce_closed(close_annular(reduce_diagram(word_to_diagram(w))))
+        a2 = reduce_closed(close_annular(word_to_diagram(w)), order="random", rng=rng)
+        assert canonical_annular(a1) == canonical_annular(a2)
+
+
 def test_overlap_resolved_by_type_three():
     # split and merge joined by both bigon edges and the opposite strand:
     # the type I and type II redexes share both vertices, and both routes
@@ -92,15 +100,13 @@ def test_overlap_resolved_by_type_three():
         c.cuts = {3 * u + 0: [(0,)]}
         return c
 
-    redexes = find_closed_redexes(build_cycle())
+    redexes = find_redexes(build_cycle())
     assert sorted(r.kind for r in redexes) == ["I", "II"]
     results = []
     for r in redexes:
         c = build_cycle()
-        rr = next(x for x in find_closed_redexes(c) if x.kind == r.kind)
-        from strandgroups.closure import apply_closed_redex
-
-        apply_closed_redex(c, rr)
+        rr = next(x for x in find_redexes(c) if x.kind == r.kind)
+        apply_redex(c, rr)
         reduce_closed(c)
         results.append([(f.winding, f.long) for f in c.free_loops])
     assert results[0] == results[1] == [(1, 0)]

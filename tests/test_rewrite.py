@@ -2,6 +2,7 @@
 
 import pytest
 
+from strandgroups.closure import close_abstract, close_annular, close_cylindrical
 from strandgroups.diagram import (
     StrandDiagram,
     concatenate,
@@ -111,6 +112,14 @@ def test_stale_redex_raises():
         apply_redex(_split_merge(crossed=False), Redex("II", 0, 1))
 
 
+def test_closed_stale_redex_raises():
+    c = close_annular(word_to_diagram(parse_word("x0 x0^-1")))
+    r = find_redexes(c)[0]
+    apply_redex(c, r)
+    with pytest.raises(StaleRedex):
+        apply_redex(c, r)
+
+
 def test_reduce_trivia():
     d = word_to_diagram(parse_word("x0 x0^-1"))
     reduce_diagram(d)
@@ -144,6 +153,22 @@ def test_worklist_telescoping_bounds(rng):
         total = len(d.kind)
         stats = ReductionStats()
         reduce_diagram(d, stats=stats)
+        assert stats.removed_total <= total
+        assert stats.examined_total <= 5 * total
+        assert stats.moves * 2 == stats.removed_total
+
+
+@pytest.mark.parametrize(
+    "group, close",
+    [("F", close_annular), ("T", lambda d: close_cylindrical(d, 0)), ("V", close_abstract)],
+)
+def test_closed_worklist_telescoping_bounds(rng, group, close):
+    for _ in range(50):
+        c = close(word_to_diagram(random_word(group, rng.randrange(1, 60), rng)))
+        total = len(c.kind)
+        stats = ReductionStats()
+        reduce_diagram(c, stats=stats)
+        assert find_redexes(c) == []
         assert stats.removed_total <= total
         assert stats.examined_total <= 5 * total
         assert stats.moves * 2 == stats.removed_total

@@ -1,5 +1,7 @@
 """Closed diagrams for V: cutting classes, cohomology, conjugacy, torsion."""
 
+import random
+
 import pytest
 
 from strandgroups.closure import (
@@ -7,14 +9,16 @@ from strandgroups.closure import (
     ClosedDiagram,
     FreeLoop,
     close_abstract,
-    find_closed_redexes,
     reduce_closed,
     weak_components,
 )
 from strandgroups.canonical import is_conjugate_f
 from strandgroups.errors import AlphabetError
 from strandgroups.oracle import PrefixMap, map_power, word_from_map_f, word_to_map, equals_identity
+from strandgroups import vgroup
+from strandgroups.rewrite import find_redexes, reduce_diagram
 from strandgroups.vgroup import (
+    canonical_abstract,
     closed_diagrams_equal,
     closed_form,
     cohomology_equivalent,
@@ -68,7 +72,7 @@ def test_crossed_pair_is_not_a_redex():
     d = word_to_diagram(parse_word("pi0", "V"))
     c = close_abstract(d)
     # the two crossed cross-edges of pi0 must not register as type I
-    kinds = sorted(r.kind for r in find_closed_redexes(c))
+    kinds = sorted(r.kind for r in find_redexes(c))
     assert "I" not in kinds
 
 
@@ -172,6 +176,26 @@ def test_closed_diagrams_equal_reflexive(rng):
     for _ in range(40):
         w = random_word("V", rng.randrange(0, 10), rng)
         assert closed_diagrams_equal(closed_form(w), closed_form(w))
+
+
+def test_frontier_and_random_give_one_form(rng):
+    for _ in range(150):
+        w = random_word("V", rng.randrange(0, 30), rng)
+        c1 = reduce_closed(close_abstract(reduce_diagram(word_to_diagram(w))))
+        c2 = reduce_closed(close_abstract(word_to_diagram(w)), order="random", rng=rng)
+        assert canonical_abstract(c1) == canonical_abstract(c2)
+
+
+def test_unequal_sizes_decided_without_encoding(monkeypatch):
+    rng = random.Random(1)
+    c1, c2 = (closed_form(random_word("V", 10**4, rng)) for _ in range(2))
+    assert c1.num_vertices() != c2.num_vertices()
+
+    def encode(c):
+        raise AssertionError("pairs of unequal size need no canonical form")
+
+    monkeypatch.setattr(vgroup, "canonical_abstract", encode)
+    assert not closed_diagrams_equal(c1, c2)
 
 
 def _block_word(d: int, inverted=None) -> Word:
