@@ -8,10 +8,11 @@ Run from the repository root:
 
 The words are seeded, so the same source tree always writes the same
 file; ``tests/test_canon_corpus.py`` checks that every entry keeps its
-bytes.  Families: random words, symmetric powers w^k (k tied roots),
-torsion elements of T, plain and conjugated, and for V the element that
-acts as x0 on each of 2^d dyadic blocks (2^d alike components) and
-torsion elements of V, whose closed diagrams are free loops only.
+bytes.  Families: random words, symmetric powers w^k (k tied roots, up
+to w^32 plain and conjugated), torsion elements of T, plain and
+conjugated, and for V the element that acts as x0 on each of 2^d dyadic
+blocks (2^d alike components) and torsion elements of V, whose closed
+diagrams are free loops only.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ def entries():
         yield "V", "torsion", t
         g = random_word("V", rng.randrange(1, 8), rng)
         yield "V", "torsion-conjugated", g.inverse() * t * g
+    for group in "FTV":
+        rng = random.Random(f"canon-corpus:{group}:large-powers")
+        for n, k in ((12, 16), (20, 32)):
+            w = positive_word(group, n, rng)
+            yield group, "power-large", Word(group, w.letters * k)
+        w = positive_word(group, 20, rng)
+        g = random_word(group, rng.randrange(1, 8), rng)
+        yield group, "power-large-conjugated", g.inverse() * Word(group, w.letters * 32) * g
 
 
 def main() -> int:
