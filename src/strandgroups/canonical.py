@@ -15,13 +15,25 @@ roots are encoded one after another against the least encoding so far,
 which is itself read only as far as a comparison needs: a root stops as
 soon as its bytes compare greater, and one that compares less takes
 over as the least with its traversal paused.  Only the final least and
-the roots that tie with it run to the end.  A component of n vertices
-with r candidate roots therefore costs O(n) per tied root plus a prefix
-per other root, instead of r traversals.  A random word pays about one
-traversal plus a short prefix per other root (on the 10^4 letter F words
-of the benchmark, r is 32 to 91 and a pruned root reads 1 to 3 vertices
-on average).  A symmetric power w^k keeps k roots tied, all of which run
-to the end, so it pays k traversals.
+the roots that tie with it run to the end, and a tie is an automorphism
+of the component: the two discovery orders, paired, map it onto itself.
+Roots in the orbit of the least under the automorphisms found so far
+encode to the same bytes and are skipped.  Automorphisms of a connected
+component act freely (one fixed vertex fixes every vertex), so each tie
+at least doubles the group they generate.  Take a component of n
+vertices with r candidate roots, t of them tied at the minimum.  When
+the roots are closed under its automorphisms (the innermost cycle for
+F, every cycle vertex of a single T unit, every vertex for V), the
+component has t automorphisms, so there are at most log2(t) ties.  It
+costs the final least, those ties and any earlier least that tied
+before a smaller root displaced it: at most 1 + 2 log2(t) traversals,
+1 + log2(t) when no tied least is displaced, plus a prefix per other
+root, instead of r traversals.  A random word pays about one traversal
+plus a short prefix per other root (on the 10^4 letter F words of the
+benchmark, r is 32 to 91 and a pruned root reads 1 to 3 vertices on
+average).  A symmetric power w^k keeps k roots tied on its innermost
+cycle: w^32 of a 200-letter F word (12,800 vertices) encodes 2 of its
+32 roots to the end.
 """
 
 from __future__ import annotations
@@ -53,20 +65,23 @@ class CanonicalForm:
         return f"CanonicalForm({self.blob.hex()[:24]}..., summary={self.summary})"
 
 
-def _pieces(c: ClosedDiagram, root: int, with_weights: bool):
+def _pieces(c: ClosedDiagram, root: int, with_weights: bool, queue: list | None = None):
     """The traversal encoding from ``root`` as a stream of ASCII pieces.
 
     The first piece is the root's kind token; every later piece is
     ``";"`` plus one token, so the pieces concatenate to the encoding
     and a consumer can stop reading as soon as the prefix decides a
-    comparison.
+    comparison.  ``queue``, when given, is an empty list that receives
+    the vertices in discovery order as the stream is read.
     """
     kind = c.kind
     conn = c.conn
     cuts = c.cuts
     long = c.long
     number = {root: 0}
-    queue = [root]  # vertices in discovery order: queue[number[v]] == v
+    if queue is None:
+        queue = []
+    queue.append(root)  # vertices in discovery order: queue[number[v]] == v
     phi_m = [0]  # gauge potentials by discovery number (with_weights only)
     phi_l = [0]
     sep = ""
@@ -118,7 +133,7 @@ def encode_component(
 
 def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
     """``min(encode_component(c, v, with_weights) for v in roots)``, with
-    early exit.
+    early exit and without re-encoding roots that a symmetry makes equal.
 
     Roots are encoded one at a time and compared, as they go, with the
     least encoding so far, which is read only as far as a comparison
@@ -128,16 +143,34 @@ def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
     comparison is on bytes (the encodings are ASCII text), not tokens:
     token ``v1.2:0,1`` sorts before ``v1.2:0,12``, but the byte that
     follows it, ``;``, sorts after ``2``.
+
+    A tie is an automorphism when the roots share a component, as every
+    caller's do: the two traversals number the vertices alike, so
+    pairing their discovery orders maps the component onto itself
+    preserving kinds and ports (and, with weights, both cochains up to a
+    coboundary, which the gauge residuals cannot see).  Every root in
+    the orbit of the least under the automorphisms found so far encodes
+    to the same bytes and is skipped.  An automorphism of a connected
+    component that fixes one vertex fixes all of them, so each tie at
+    least doubles the group the automorphisms found generate; the module
+    docstring gives the resulting bound on full traversals.
     """
     roots = iter(roots)
-    first = next(roots, None)
-    if first is None:
+    best_root = next(roots, None)
+    if best_root is None:
         raise ValueError("min_encoding needs at least one root")
-    best = _pieces(c, first, with_weights)  # the least encoding so far
+    best_queue = []  # discovery order of the least's traversal
+    best = _pieces(c, best_root, with_weights, best_queue)  # the least encoding so far
     read = ""  # its bytes read so far
+    autos = []  # automorphisms from ties, v -> image[position[v]]
+    position = None  # inverse of best_queue, built at its first tie
+    orbit = {best_root}  # roots known to encode like best_root
     for root in roots:
+        if root in orbit:
+            continue
         # until it differs, this root's bytes are read[:pos]
-        stream = _pieces(c, root, with_weights)
+        queue = []
+        stream = _pieces(c, root, with_weights, queue)
         pos = 0
         for piece in stream:
             end = pos + len(piece)
@@ -147,6 +180,8 @@ def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
             if piece != ref:
                 if piece < ref:
                     best, read = stream, read[:pos] + piece
+                    best_root, best_queue, position = root, queue, None
+                    orbit = _orbit(root, autos)
                 break
             pos = end
         else:
@@ -155,7 +190,32 @@ def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
                 read = _read_ahead(best, read, pos + 1)
             if len(read) > pos:
                 best, read = iter(()), read[:pos]
+                best_root, best_queue, position = root, queue, None
+                orbit = _orbit(root, autos)
+            else:
+                if position is None:
+                    position = {v: i for i, v in enumerate(best_queue)}
+                autos.append((position, queue))
+                orbit = _orbit(best_root, autos)
     return (read + "".join(best)).encode()
+
+
+def _orbit(v: int, autos) -> set[int]:
+    """The orbit of ``v`` under the group generated by ``autos``, each a
+    pair ``(position, image)`` mapping u to ``image[position[u]]``.
+
+    A map is defined on the component its ``position`` numbers; roots
+    from several components can tie through an isomorphism between two
+    of them, which is followed only where it is defined."""
+    orbit = {v}
+    todo = [v]
+    for u in todo:
+        for position, image in autos:
+            i = position.get(u)
+            if i is not None and image[i] not in orbit:
+                orbit.add(image[i])
+                todo.append(image[i])
+    return orbit
 
 
 def _read_ahead(stream, read: str, end: int) -> str:

@@ -221,6 +221,22 @@ def word_from_map_f(m: PrefixMap, group: str = "F") -> Word:
     return w
 
 
+def block_word(d: int, inverted: int | None, group: str) -> Word:
+    """x0 acting on each of the 2^d dyadic blocks of [0,1]; block
+    ``inverted`` (an index below 2^d) carries x0^-1 instead.  The closed
+    diagram has 2^d alike components, one per block."""
+    dom: list[str] = []
+    rng: list[str] = []
+    for i in range(2**d):
+        b = format(i, f"0{d}b") if d else ""
+        up, down = [b + "00", b + "01", b + "1"], [b + "0", b + "10", b + "11"]
+        if i == inverted:
+            up, down = down, up
+        dom += up
+        rng += down
+    return word_from_map_f(PrefixMap(tuple(dom), tuple(rng), tuple(range(len(dom)))), group)
+
+
 def _f_map_moving_cut(q: str) -> PrefixMap:
     """An order-preserving map sending the dyadic point 3/4 to 0.q."""
     q = q.rstrip("0")

@@ -133,12 +133,16 @@ def reduce_diagram(
     """Reduce ``g`` in place until no redex remains; returns ``g``.
 
     ``order="frontier"`` is the deterministic worklist (lowest top id
-    first inside a round) and fills ``stats``.  ``order="random"`` needs
-    an ``rng`` and fires redexes in random order.  ``trace`` collects
-    the fired moves as (type, top, bottom).
+    first inside a round) and fills ``stats``, one entry per round, the
+    first round's scan of every vertex included.  ``order="random"``
+    needs an ``rng``, fires redexes in random order and has no rounds,
+    so it refuses ``stats``.  ``trace`` collects the fired moves as
+    (type, top, bottom).
     """
     if order not in ("frontier", "random"):
         raise ValueError(f"unknown reduction order {order!r}")
+    if order == "random" and stats is not None:
+        raise ValueError("order='random' has no rounds to record in stats")
     kind = g.kind
     splice = g.splice
     if order == "random":
@@ -171,7 +175,7 @@ def reduce_diagram(
                 if a >= 0:
                     touched.append(a // 3)
             removed += 2
-        if stats is not None and (removed or isinstance(candidates, list)):
+        if stats is not None:
             stats.rounds.append((removed, len(candidates)))
             stats.moves += removed // 2
         if not removed:

@@ -17,8 +17,9 @@ a port-preserving isomorphism; its gauge residuals are the cut counts
 summed around the fundamental cycles of the traversal tree, which fix
 the cutting class modulo coboundaries.  V words carry no wrap counts,
 so the wrap residuals are all 0.  The cost is that of the F and T forms
-(a traversal per tied root plus a short prefix per other root), with no
-search over bijections between alike components.
+(O(log t) traversals for t tied roots, since each tie is an automorphism
+that lets its orbit be skipped, plus a short prefix per other root),
+with no search over bijections between alike components.
 
 Cochains are dicts keyed like ``cutting_sequence`` carriers: an edge's
 head endpoint, or ("loop", i) for free loop i.

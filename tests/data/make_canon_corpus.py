@@ -23,7 +23,7 @@ import random
 import sys
 
 from strandgroups import cli
-from strandgroups.oracle import PrefixMap, word_from_map_f
+from strandgroups.oracle import block_word
 from strandgroups.toral import torsion_witness
 from strandgroups.words import ALPHABETS, Generator, Word, parse_word, random_word, word_to_text
 
@@ -39,20 +39,6 @@ def emit_canon(group: str, text: str) -> str:
 
 def positive_word(group: str, n: int, rng) -> Word:
     return Word(group, tuple(Generator(rng.choice(ALPHABETS[group]), 1) for _ in range(n)))
-
-
-def block_word(d: int, inverted: int | None) -> Word:
-    """x0 on each of the 2^d dyadic blocks; block ``inverted`` carries x0^-1."""
-    dom: list[str] = []
-    rng: list[str] = []
-    for i in range(2 ** d):
-        b = format(i, f"0{d}b") if d else ""
-        up, down = [b + "00", b + "01", b + "1"], [b + "0", b + "10", b + "11"]
-        if i == inverted:
-            up, down = down, up
-        dom += up
-        rng += down
-    return word_from_map_f(PrefixMap(tuple(dom), tuple(rng), tuple(range(len(dom)))), "V")
 
 
 def entries():
@@ -94,10 +80,10 @@ def entries():
         yield "V", "power-mixed", Word("V", w.letters * k)
     rng = random.Random("canon-corpus:V:blocks")
     for d in range(5):
-        yield "V", "blocks", block_word(d, None)
-        yield "V", "blocks-inverted", block_word(d, rng.randrange(2 ** d))
+        yield "V", "blocks", block_word(d, None, "V")
+        yield "V", "blocks-inverted", block_word(d, rng.randrange(2 ** d), "V")
         g = random_word("V", rng.randrange(1, 8), rng)
-        yield "V", "blocks-conjugated", g.inverse() * block_word(d, None) * g
+        yield "V", "blocks-conjugated", g.inverse() * block_word(d, None, "V") * g
     rng = random.Random("canon-corpus:V:torsion")
     pi0 = parse_word("pi0", "V")
     torsion = [pi0, parse_word("pi0 x0 pi0 x0^-1", "V")]

@@ -1,6 +1,8 @@
 """Canonical annular forms: determinism, invariance, separation, decorations."""
 
 import itertools
+import math
+import random
 
 import networkx as nx
 import pytest
@@ -13,12 +15,21 @@ from strandgroups.canonical import (
     is_conjugate_f,
     min_encoding,
 )
-from strandgroups.closure import check_cycle_structure, close_annular, close_cylindrical, reduce_closed
+from strandgroups import canonical, toral, vgroup
+from strandgroups.closure import (
+    check_cycle_structure,
+    close_abstract,
+    close_annular,
+    close_cylindrical,
+    reduce_closed,
+    weak_components,
+)
 from strandgroups.errors import AlphabetError, NotReduced
-from strandgroups.oracle import brute_conj_witness
+from strandgroups.oracle import block_word, brute_conj_witness
 from strandgroups.rewrite import reduce_diagram
-from strandgroups.toral import dehn_normalize
-from strandgroups.words import Generator, Word, parse_word, random_word, word_to_diagram
+from strandgroups.toral import canonical_toral, dehn_normalize
+from strandgroups.vgroup import canonical_abstract, cohomology_equivalent, cut_cochain
+from strandgroups.words import ALPHABETS, Generator, Word, parse_word, random_word, word_to_diagram
 
 from conftest import permute_vertices
 
@@ -109,18 +120,25 @@ def test_min_encoding_matches_reference_on_t_units_with_weights(rng):
                 _assert_min_encoding_matches_reference(t, roots, True, rng)
 
 
+def _closed_power(group, w, k):
+    """The reduced closed diagram of w^k (Dehn-normalized for T)."""
+    d = word_to_diagram(Word(group, w.letters * k))
+    reduce_diagram(d)
+    if group == "F":
+        return reduce_closed(close_annular(d))
+    if group == "T":
+        return dehn_normalize(reduce_closed(close_cylindrical(d, 0)))
+    return reduce_closed(close_abstract(d))
+
+
 def test_min_encoding_matches_reference_on_symmetric_powers(rng):
-    # w^k keeps k roots tied at the minimum; every tie must run to the end
+    # w^k keeps k roots tied at the minimum; the orbit skipping must
+    # leave the bytes as the reference minimum over every root
     for group in "FT":
         for _ in range(15):
             w = random_word(group, rng.randrange(2, 8), rng)
             k = rng.randrange(2, 6)
-            d = word_to_diagram(Word(group, w.letters * k))
-            reduce_diagram(d)
-            if group == "F":
-                c = reduce_closed(close_annular(d))
-            else:
-                c = dehn_normalize(reduce_closed(close_cylindrical(d, 0)))
+            c = _closed_power(group, w, k)
             for ring in check_cycle_structure(c):
                 if ring.kind != "component":
                     continue
@@ -130,6 +148,115 @@ def test_min_encoding_matches_reference_on_symmetric_powers(rng):
                     roots = [v for cyc in ring.cycles for v in cyc.vertices]
                 ties = _assert_min_encoding_matches_reference(c, roots, group == "T", rng)
                 assert ties >= 2, (group, w, k)
+
+
+def _positive_word(group, n, rng):
+    return Word(group, tuple(Generator(rng.choice(ALPHABETS[group]), 1) for _ in range(n)))
+
+
+_FORMS = {"F": canonical_annular, "T": canonical_toral, "V": canonical_abstract}
+
+
+def test_min_encoding_matches_reference_on_v_powers(rng):
+    # every component vertex is a root: several classes of roots, each an
+    # orbit, so shuffled orders also make a tied least give way to a
+    # smaller one and reuse the automorphisms found before it
+    tied = 0
+    for _ in range(15):
+        w = random_word("V", rng.randrange(2, 8), rng)
+        c = _closed_power("V", w, rng.randrange(2, 6))
+        for comp in weak_components(c):
+            tied = max(tied, _assert_min_encoding_matches_reference(c, comp, True, rng))
+    assert tied >= 2
+    # roots of 8 alike components tie through isomorphisms between them
+    blocks = _closed_power("V", block_word(3, None, "V"), 1)
+    roots = list(blocks.live_vertices())
+    assert _assert_min_encoding_matches_reference(blocks, roots, True, rng) == 8
+
+
+def _record_finished_traversals(monkeypatch):
+    """Wrap ``_pieces``: every traversal read to its end appends its
+    (root, bytes, discovery order) to the returned list."""
+    finished = []
+    pieces = canonical._pieces
+
+    def recorded(c, root, with_weights, queue=None):
+        queue = [] if queue is None else queue
+        read = []
+        for piece in pieces(c, root, with_weights, queue):
+            read.append(piece)
+            yield piece
+        finished.append((root, "".join(read).encode(), queue))
+
+    monkeypatch.setattr(canonical, "_pieces", recorded)
+    return finished
+
+
+@pytest.mark.parametrize("group", "FTV")
+def test_ties_give_automorphisms(monkeypatch, group):
+    # a tie pairs two discovery orders; the map must preserve kinds and
+    # ports, and (T and V encode with weights) carry each cochain to a
+    # cohomologous one
+    rng = random.Random(f"tie-automorphisms:{group}")
+    finished = _record_finished_traversals(monkeypatch)
+    sigmas = 0
+    for _ in range(8):
+        w = _positive_word(group, rng.randrange(2, 7), rng)
+        c = _closed_power(group, w, rng.randrange(2, 9))
+        finished.clear()
+        _FORMS[group](c)
+        cochains = [cut_cochain(c)]
+        if group == "T":
+            cochains.append({h: c.long.get(h, 0) for _tail, h in c.edges()})
+        for (r1, b1, q1), (r2, b2, q2) in itertools.combinations(finished, 2):
+            if b1 != b2 or set(q1) != set(q2):
+                continue
+            sigma = dict(zip(q1, q2))
+            assert len(sigma) == len(q1) == len(set(q2)) and sigma[r1] == r2
+            for v, u in sigma.items():
+                assert c.kind[u] == c.kind[v]
+                for s in range(3):
+                    peer = c.conn[3 * v + s]
+                    assert c.conn[3 * u + s] == 3 * sigma[peer // 3] + peer % 3
+            if group != "F":
+                for cochain in cochains:
+                    moved = dict(cochain)
+                    for h in cochain:
+                        if isinstance(h, int) and h // 3 in sigma:
+                            moved[h] = cochain[3 * sigma[h // 3] + h % 3]
+                    assert cohomology_equivalent(c, cochain, moved)
+            sigmas += 1
+    assert sigmas >= 8
+
+
+@pytest.mark.parametrize("group", "FTV")
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_ties_cost_logarithmic_traversals(monkeypatch, group, k):
+    # each tie at least doubles the group of automorphisms found; in the
+    # order the forms pass their roots no least that tied is displaced
+    # here, so t tied roots cost at most 1 + log2(t) traversals read to
+    # the end
+    finished = _record_finished_traversals(monkeypatch)
+    calls = []
+    least = canonical.min_encoding
+
+    def counted(c, roots, with_weights=False):
+        roots = list(roots)
+        start = len(finished)
+        out = least(c, roots, with_weights)
+        traversals = len(finished) - start
+        ties = sum(canonical.encode_component(c, v, with_weights) == out for v in roots)
+        calls.append((traversals, ties))
+        return out
+
+    for module in (canonical, toral, vgroup):
+        monkeypatch.setattr(module, "min_encoding", counted)
+    rng = random.Random(f"tie-traversals:{group}")
+    for n in (3, 5):
+        _FORMS[group](_closed_power(group, _positive_word(group, n, rng), k))
+    assert max(ties for _, ties in calls) >= k
+    for traversals, ties in calls:
+        assert traversals <= 1 + math.log2(ties), (traversals, ties)
 
 
 @pytest.mark.parametrize(
@@ -146,9 +273,16 @@ def test_min_encoding_matches_reference_on_symmetric_powers(rng):
     ],
 )
 def test_min_encoding_orders_bytes_not_tokens(monkeypatch, streams):
-    from strandgroups import canonical
+    def fake_pieces(c, root, with_weights, queue):
+        # the stream names are the vertices and equal streams are the
+        # automorphic ones: the discovery order lists the other names by
+        # stream, so pairing the orders of a tie swaps the two roots
+        queue.append(root)
+        others = sorted((v for v in streams if v != root), key=lambda v: ("".join(streams[v]), v))
+        queue.extend(others)
+        return iter(streams[root])
 
-    monkeypatch.setattr(canonical, "_pieces", lambda c, root, with_weights: iter(streams[root]))
+    monkeypatch.setattr(canonical, "_pieces", fake_pieces)
     reference = min("".join(pieces) for pieces in streams.values()).encode()
     for order in itertools.permutations(streams):
         assert min_encoding(None, order) == reference

@@ -174,6 +174,21 @@ def test_closed_worklist_telescoping_bounds(rng, group, close):
         assert stats.moves * 2 == stats.removed_total
 
 
+def test_stats_record_the_first_round_on_reduced_input():
+    # the first round scans every vertex even when it finds nothing
+    d = reduce_diagram(word_to_diagram(parse_word("x0 x1^-1 x0")))
+    stats = ReductionStats()
+    reduce_diagram(d, stats=stats)
+    assert stats.rounds == [(0, len(d.kind))]
+    assert stats.examined_total == len(d.kind) > 0 and stats.moves == 0
+
+
+def test_random_order_refuses_stats(rng):
+    d = word_to_diagram(parse_word("x0 x0^-1"))
+    with pytest.raises(ValueError):
+        reduce_diagram(d, order="random", rng=rng, stats=ReductionStats())
+
+
 def test_trace_records_moves():
     d = word_to_diagram(parse_word("x0 x0^-1"))
     trace = []
