@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 from .closure import (
     ClosedDiagram,
-    Ring,
     close_annular,
-    check_cycle_structure,
     reduce_closed,
+    reduced_structure,
     ring_decomposition,
 )
-from .errors import AlphabetError, NotReduced
-from .rewrite import find_redexes, reduce_diagram
+from .errors import AlphabetError
+from .rewrite import reduce_diagram
 from .words import Word, word_to_diagram
 
 
@@ -233,29 +232,22 @@ def _read_ahead(stream, read: str, end: int) -> str:
     return "".join(parts)
 
 
-def encode_ring(c: ClosedDiagram, ring: Ring, with_weights: bool = False) -> bytes:
-    """Free loops are a fixed token; components minimize over starting
-    vertices on their innermost directed cycle."""
-    if ring.kind == "free":
-        return b"F"
-    return min_encoding(c, ring.cycles[0].vertices, with_weights)
-
-
 def canonical_annular(a: ClosedDiagram) -> CanonicalForm:
     """Order-comparable encoding of a reduced annular diagram.
 
     Equal blobs mean isotopic diagrams; the radial ring order is read
-    off the cut positions.  Raises NotReduced on unreduced input.
+    off the cut positions.  Raises NotReduced on unreduced input, and
+    StructureViolation where ``check_cycle_structure`` would.
     """
-    redexes = find_redexes(a)
-    if redexes:
-        raise NotReduced(f"diagram has redex {redexes[0]}")
-    rings = check_cycle_structure(a)
+    rings = reduced_structure(a).checked_rings()
     parts = [b"A%d" % len(rings)]
     pattern = []
     for ring in rings:
-        parts.append(encode_ring(a, ring))
-        pattern.append(1 if ring.kind == "free" else 0)
+        # free loops are a fixed token; a component minimizes over the
+        # vertices of its innermost directed cycle
+        free = ring.kind == "free"
+        parts.append(b"F" if free else min_encoding(a, ring.cycles[0].vertices))
+        pattern.append(1 if free else 0)
     blob = b"|".join(parts)
     return CanonicalForm(blob, (len(rings), a.num_vertices(), tuple(pattern)))
 

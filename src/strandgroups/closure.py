@@ -21,6 +21,12 @@ the global cut order is preserved.  A strand that closes up on itself
 becomes a free loop.  Type III (merging two free loops) runs after
 moves I/II are exhausted, merging loops of equal class that are
 adjacent in the recovered ring order.
+
+The structure of a reduced diagram is computed here and only here: one
+``Structure`` pass finds the directed cycles with their classes, and
+the rings are built from it.  ``reduced_structure`` is the reduction
+gate of the F and T canonical forms, so each form scans for redexes
+once; ``check_cycle_structure`` names cycle-level faults before it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diagram import DEAD, MERGE, SPLIT, TYPE_I, StrandDiagram, sink_index
+from .diagram import DEAD, MERGE, OUT_SLOTS, SPLIT, TYPE_I, StrandDiagram, sink_code, sink_index
 from .errors import ArityMismatch, NotReduced, StructureViolation
 from .rewrite import find_redexes, reduce_diagram
 
@@ -78,15 +84,10 @@ class ClosedDiagram:
 
     def edges(self):
         """Live edges as (tail, head) endpoint pairs."""
-        kind = self.kind
         conn = self.conn
-        for v in range(len(kind)):
-            k = kind[v]
-            if k == SPLIT:
-                yield (3 * v + 1, conn[3 * v + 1])
-                yield (3 * v + 2, conn[3 * v + 2])
-            elif k == MERGE:
-                yield (3 * v + 2, conn[3 * v + 2])
+        for v, k in enumerate(self.kind):
+            for s in OUT_SLOTS[k]:
+                yield (3 * v + s, conn[3 * v + s])
 
     def edge_class(self, head: int) -> tuple[int, int]:
         """(meridian weight, wrap count) of the edge arriving at ``head``."""
@@ -185,9 +186,8 @@ class ClosedDiagram:
         outs: dict[int, list[int]] = {}
         for v in self.live_vertices():
             indeg.setdefault(v, 0)
-            slots = (1, 2) if kind[v] == SPLIT else (2,)
             targets = []
-            for s in slots:
+            for s in OUT_SLOTS[kind[v]]:
                 h = conn[3 * v + s]
                 if not self.cuts.get(h):
                     targets.append(h // 3)
@@ -225,69 +225,48 @@ def _close(d: StrandDiagram, mode: str, sigma) -> ClosedDiagram:
     if d.long:
         c.long = {h: w for h, w in d.long.items() if h >= 0 and w}
 
-    src_peer = list(d.src_conn)  # what source i feeds (head or sink code)
-    snk_peer = list(d.snk_conn)  # what feeds sink i (tail or source code)
+    src_peer = d.src_conn  # what source i feeds (head or sink code)
     dlong = d.long or {}
-
     done = [False] * k
-    for i0 in range(k):
-        if done[i0]:
-            continue
-        tail = snk_peer[i0]
-        if tail < 0:
-            continue  # strand starts at a source; handled from its sink side
-        # walk the glue chain from sink i0 until a vertex head is reached
-        acc_cuts = []
-        acc_lw = 0
-        i = i0
-        while True:
-            done[i] = True
-            j = sigma(i)
-            acc_cuts.append((i,))
-            acc_lw += dlong.get(_sinkcode(i), 0)
-            if mode == TORAL and i + _shift_of(sigma, i, k) >= k:
-                acc_lw += 1
-            head = src_peer[j]
-            if head >= 0:
-                acc_lw += dlong.get(head, 0)
-                c.conn[tail] = head
-                c.conn[head] = tail
-                if acc_cuts:
-                    c.cuts[head] = acc_cuts
-                if acc_lw:
-                    c.long[head] = acc_lw
-                elif head in c.long:
-                    del c.long[head]
-                break
-            i = sink_index(head)  # source j feeds sink i directly
 
-    # remaining glue orbits never touch a vertex: free loops
-    for i0 in range(k):
-        if done[i0]:
-            continue
-        acc_cuts = []
-        acc_lw = 0
-        i = i0
+    def glue(i):
+        """Walk the glue chain from sink i, through sources that feed sinks
+        directly, to a vertex head or back to a walked sink; returns
+        (head or None, cut positions, wrap count)."""
+        cuts = []
+        lw = 0
         while not done[i]:
             done[i] = True
             j = sigma(i)
-            acc_cuts.append((i,))
-            acc_lw += dlong.get(_sinkcode(i), 0)
-            if mode == TORAL and i + _shift_of(sigma, i, k) >= k:
-                acc_lw += 1
+            cuts.append((i,))
+            lw += dlong.get(sink_code(i), 0)
+            if mode == TORAL and j < i:
+                lw += 1  # the glue passes the longitude line
             head = src_peer[j]
-            assert head < 0, "orbit re-entered the graph"
-            i = sink_index(head)
-        c.free_loops.append(FreeLoop(acc_cuts, acc_lw))
+            if head >= 0:
+                return head, cuts, lw + dlong.get(head, 0)
+            i = sink_index(head)  # source j feeds sink i directly
+        return None, cuts, lw
+
+    for i0, tail in enumerate(d.snk_conn):
+        if tail < 0:
+            continue  # strand starts at a source; walked from its sink side
+        head, cuts, lw = glue(i0)
+        c.conn[tail] = head
+        c.conn[head] = tail
+        c.cuts[head] = cuts
+        if lw:
+            c.long[head] = lw
+        else:
+            c.long.pop(head, None)
+
+    # remaining glue orbits never touch a vertex: free loops
+    for i0 in range(k):
+        if not done[i0]:
+            head, cuts, lw = glue(i0)
+            assert head is None, "orbit re-entered the graph"
+            c.free_loops.append(FreeLoop(cuts, lw))
     return c
-
-
-def _sinkcode(i):
-    return -3 - 2 * i
-
-
-def _shift_of(sigma, i, k):
-    return (sigma(i) - i) % k
 
 
 def close_annular(d: StrandDiagram) -> ClosedDiagram:
@@ -387,140 +366,7 @@ class Cycle:
     heads: list[int]          # head endpoints of the on-cycle edges
     pure: str | None          # "split", "merge" or None (mixed)
     min_cut: tuple | None
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-
-def directed_cycles(c: ClosedDiagram) -> list[Cycle]:
-    """All directed cycles, via strongly connected components.
-
-    Raises StructureViolation if an SCC is not a simple cycle (cycles
-    sharing vertices), which cannot happen once moves I/II are done.
-    """
-    kind = c.kind
-    conn = c.conn
-
-    def out_neighbors(v):
-        if kind[v] == SPLIT:
-            return (conn[3 * v + 1] // 3, conn[3 * v + 2] // 3)
-        return (conn[3 * v + 2] // 3,)
-
-    sccs = _tarjan(list(c.live_vertices()), out_neighbors)
-    cycles = []
-    for comp in sccs:
-        if len(comp) == 1:
-            v = comp[0]
-            if v not in out_neighbors(v):
-                continue
-        compset = set(comp)
-        # walk the unique in-component successor of each vertex
-        succ = {}
-        heads = {}
-        for v in comp:
-            ins = []
-            if kind[v] == SPLIT:
-                slots = (1, 2)
-            else:
-                slots = (2,)
-            for s in slots:
-                h = conn[3 * v + s]
-                if h // 3 in compset:
-                    ins.append((h // 3, h))
-            if len(ins) != 1:
-                raise StructureViolation(
-                    f"vertex {v} has {len(ins)} successors inside one strongly "
-                    "connected component; directed cycles are not disjoint"
-                )
-            succ[v] = ins[0][0]
-            heads[v] = ins[0][1]
-        start = min(comp)
-        order = [start]
-        w = succ[start]
-        while w != start:
-            order.append(w)
-            w = succ[w]
-        if len(order) != len(comp):
-            raise StructureViolation("strongly connected component is not a single cycle")
-        kinds = {kind[v] for v in order}
-        pure = "split" if kinds == {SPLIT} else "merge" if kinds == {MERGE} else None
-        head_list = [heads[v] for v in order]
-        cut_positions = [p for h in head_list for p in c.cuts.get(h, ())]
-        cycles.append(
-            Cycle(order, head_list, pure, min(cut_positions) if cut_positions else None)
-        )
-    return cycles
-
-
-def _tarjan(vertices, out_neighbors):
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(out_neighbors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(out_neighbors(w))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
-def weak_components(c: ClosedDiagram) -> list[list[int]]:
-    kind = c.kind
-    conn = c.conn
-    seen = set()
-    comps = []
-    for v0 in c.live_vertices():
-        if v0 in seen:
-            continue
-        comp = []
-        stack = [v0]
-        seen.add(v0)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for s in range(3):
-                w = conn[3 * v + s] // 3
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    cls: tuple[int, int]      # (meridian, wrap): cut count and wrap sum
 
 
 @dataclass
@@ -531,71 +377,229 @@ class Ring:
     vertices: list[int] = field(default_factory=list)
     loop: FreeLoop | None = None
     min_cut: tuple | None = None
+    cuts: list = field(default_factory=list)  # every cut position on the ring
 
 
-def ring_decomposition(c: ClosedDiagram, cycles: list[Cycle] | None = None) -> list[Ring]:
-    """Rings ordered radially (annular) or cyclically from the first cut
-    (toral).  Requires a reduced diagram; ``cycles``, when given, must be
-    ``directed_cycles(c)``."""
+class Structure:
+    """The directed cycles of a closed diagram, found in one pass, and the
+    rings built from them.
+
+    The pass is an iterative strongly connected component search (Tarjan
+    1972) over the flat slot arrays, rooted at vertex ids in increasing
+    order.  Each component that holds a cycle becomes a ``Cycle`` with
+    its class, or raises StructureViolation if two cycles share a vertex.
+    """
+
+    __slots__ = ("c", "cycles")
+
+    def __init__(self, c: ClosedDiagram):
+        self.c = c
+        self.cycles = []
+        kind = c.kind
+        conn = c.conn
+        n = len(kind)
+        num = [0] * n  # discovery number; 0 until visited
+        low = [0] * n
+        nxt = [0] * n  # next output slot to follow
+        on_stack = bytearray(n)
+        stack = []
+        count = 0
+        for root in range(n):
+            if num[root] or kind[root] == DEAD:
+                continue
+            count += 1
+            num[root] = low[root] = count
+            stack.append(root)
+            on_stack[root] = 1
+            nxt[root] = OUT_SLOTS[kind[root]][0]
+            path = [root]
+            while path:
+                v = path[-1]
+                s = nxt[v]
+                if s < 3:
+                    nxt[v] = s + 1
+                    w = conn[3 * v + s] // 3
+                    if not num[w]:
+                        count += 1
+                        num[w] = low[w] = count
+                        stack.append(w)
+                        on_stack[w] = 1
+                        nxt[w] = OUT_SLOTS[kind[w]][0]
+                        path.append(w)
+                    elif on_stack[w] and num[w] < low[v]:
+                        low[v] = num[w]
+                    continue
+                path.pop()
+                lv = low[v]
+                if path and lv < low[path[-1]]:
+                    low[path[-1]] = lv
+                if lv == num[v]:
+                    w = stack.pop()
+                    if w == v and v not in (conn[3 * v + 1] // 3, conn[3 * v + 2] // 3):
+                        on_stack[v] = 0  # a single vertex and no loop: no cycle
+                        continue
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        comp.append(w)
+                    self.cycles.append(self._cycle(comp, on_stack))
+                    for w in comp:
+                        on_stack[w] = 0
+
+    def _cycle(self, comp: list[int], inside) -> Cycle:
+        """The cycle of strongly connected component ``comp``.  Its
+        vertices are marked in ``inside``; no other marked vertex has an
+        edge from ``comp``, since the search completes ``comp`` first."""
+        c = self.c
+        kind = c.kind
+        conn = c.conn
+        head = {}
+        for v in comp:
+            hs = [conn[3 * v + s] for s in OUT_SLOTS[kind[v]] if inside[conn[3 * v + s] // 3]]
+            if len(hs) != 1:
+                raise StructureViolation(
+                    f"vertex {v} has {len(hs)} successors inside one strongly "
+                    "connected component; directed cycles are not disjoint"
+                )
+            head[v] = hs[0]
+        # one successor each in a strongly connected component: a single cycle
+        start = v = min(comp)
+        vertices = []
+        heads = []
+        while True:
+            vertices.append(v)
+            heads.append(head[v])
+            v = head[v] // 3
+            if v == start:
+                break
+        kinds = {kind[v] for v in vertices}
+        pure = "split" if kinds == {SPLIT} else "merge" if kinds == {MERGE} else None
+        cuts = [p for h in heads for p in c.cuts.get(h, ())]
+        wrap = sum(c.long.get(h, 0) for h in heads)
+        return Cycle(vertices, heads, pure, min(cuts, default=None), (len(cuts), wrap))
+
+    def check_cycles(self) -> None:
+        """Every directed cycle is pure with positive winding, and so is
+        every free loop."""
+        for cyc in self.cycles:
+            if cyc.pure is None:
+                raise StructureViolation(
+                    f"cycle through {cyc.vertices} mixes splits and merges"
+                )
+            if cyc.cls[0] <= 0:
+                raise StructureViolation(f"cycle through {cyc.vertices} has winding {cyc.cls[0]}")
+        for f in self.c.free_loops:
+            if len(f.cuts) <= 0:
+                raise StructureViolation("free loop with nonpositive winding")
+
+    def rings(self) -> list[Ring]:
+        """Rings ordered radially (annular) or cyclically from the first cut
+        (toral), each component's cycles in cut order.  Needs a reduced
+        diagram."""
+        c = self.c
+        comps, label = _components(c)
+        cuts = [[] for _ in comps]
+        for h, ps in c.cuts.items():
+            cuts[label[h // 3]].extend(ps)
+        comp_cycles = [[] for _ in comps]
+        for cyc in self.cycles:
+            comp_cycles[label[cyc.vertices[0]]].append(cyc)
+        rings = []
+        for comp, cycs, ps in zip(comps, comp_cycles, cuts):
+            if len(cycs) < 2:  # reduced: a split loop feeds a merge loop
+                raise StructureViolation(f"component {comp} has {len(cycs)} directed cycles")
+            cycs.sort(key=lambda cy: cy.min_cut)
+            rings.append(Ring("component", -1, cycs, comp, min_cut=min(ps), cuts=ps))
+        for f in c.free_loops:
+            rings.append(Ring("free", -1, loop=f, min_cut=min(f.cuts), cuts=f.cuts))
+        rings.sort(key=lambda r: r.min_cut)
+        for i, r in enumerate(rings):
+            r.radial_index = i
+        return rings
+
+    def checked_rings(self) -> list[Ring]:
+        """``rings``, after the ring clauses of the structure theorem: in
+        annular mode the cycles of a component alternate between split
+        and merge loops and every cycle winds once; in toral mode all
+        classes agree modulo the meridian and are primitive."""
+        c = self.c
+        rings = self.rings()
+        classes = [cyc.cls for cyc in self.cycles] + [(len(f.cuts), f.long) for f in c.free_loops]
+        if c.mode == ANNULAR:
+            for ring in rings:
+                kinds = [cyc.pure for cyc in ring.cycles]
+                for a, b in zip(kinds, kinds[1:]):
+                    if a == b:
+                        raise StructureViolation(
+                            f"consecutive {a} loops do not alternate in component "
+                            f"{ring.vertices}"
+                        )
+            for mw, _ in classes:
+                if mw != 1:
+                    raise StructureViolation(f"annular cycle winds {mw} times, expected 1")
+        elif c.mode == TORAL and classes:
+            n0 = classes[0][0]
+            k0 = classes[0][1] % n0
+            for mw, lw in classes:
+                if mw != n0 or lw % n0 != k0:
+                    raise StructureViolation(
+                        f"toral cycles disagree: {(mw, lw)} vs {(n0, k0)}"
+                    )
+            if math.gcd(n0, k0) != 1:
+                raise StructureViolation(f"toral class ({n0},{k0}) is not primitive")
+        return rings
+
+
+def _components(c: ClosedDiagram) -> tuple[list[list[int]], list[int]]:
+    """The weak components, each sorted, in order of least vertex, and the
+    component index of every vertex (-1 for dead ones)."""
+    kind = c.kind
+    conn = c.conn
+    label = [-1] * len(kind)
+    comps = []
+    for v0 in range(len(kind)):
+        if label[v0] >= 0 or kind[v0] == DEAD:
+            continue
+        ci = len(comps)
+        label[v0] = ci
+        comp = [v0]
+        for v in comp:
+            for e in conn[3 * v : 3 * v + 3]:
+                if label[e // 3] < 0:
+                    label[e // 3] = ci
+                    comp.append(e // 3)
+        comp.sort()
+        comps.append(comp)
+    return comps, label
+
+
+def _require_reduced(c: ClosedDiagram) -> None:
     redexes = find_redexes(c)
     if redexes:
         raise NotReduced(f"diagram has redex {redexes[0]}")
 
-    if cycles is None:
-        cycles = directed_cycles(c)
-    comps = weak_components(c)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
 
-    comp_cycles: dict[int, list[Cycle]] = {ci: [] for ci in range(len(comps))}
-    for cyc in cycles:
-        comp_cycles[comp_of[cyc.vertices[0]]].append(cyc)
-
-    rings = []
-    for ci, comp in enumerate(comps):
-        cycs = comp_cycles[ci]
-        if not cycs:
-            raise StructureViolation(f"component {comp} has no directed cycle")
-        if len(cycs) == 1 and comp:
-            raise StructureViolation(
-                f"component {comp} has vertices but only one directed cycle"
-            )
-        cycs.sort(key=lambda cy: cy.min_cut)
-        all_cuts = [p for h in _component_heads(c, comp) for p in c.cuts.get(h, ())]
-        rings.append(
-            Ring(
-                "component",
-                -1,
-                cycles=cycs,
-                vertices=comp,
-                min_cut=min(all_cuts),
-            )
-        )
-    for f in c.free_loops:
-        rings.append(Ring("free", -1, loop=f, min_cut=min(f.cuts)))
-
-    rings.sort(key=lambda r: r.min_cut)
-    for i, r in enumerate(rings):
-        r.radial_index = i
-    return rings
+def reduced_structure(c: ClosedDiagram) -> Structure:
+    """The structure of a reduced closed diagram, after ``check_cycles``.
+    Raises NotReduced first: this is the one reduction gate of every
+    canonical form."""
+    _require_reduced(c)
+    s = Structure(c)
+    s.check_cycles()
+    return s
 
 
-def _component_heads(c: ClosedDiagram, comp) -> list[int]:
-    heads = []
-    for v in comp:
-        if c.kind[v] == SPLIT:
-            heads.append(c.conn[3 * v + 1])
-            heads.append(c.conn[3 * v + 2])
-        else:
-            heads.append(c.conn[3 * v + 2])
-    return heads
+def weak_components(c: ClosedDiagram) -> list[list[int]]:
+    return _components(c)[0]
 
 
-def check_cycle_structure(
-    c: ClosedDiagram, cycles: list[Cycle] | None = None
-) -> list[Ring]:
+def ring_decomposition(c: ClosedDiagram) -> list[Ring]:
+    """Rings ordered radially (annular) or cyclically from the first cut
+    (toral).  Requires a reduced diagram."""
+    return reduced_structure(c).rings()
+
+
+def check_cycle_structure(c: ClosedDiagram) -> list[Ring]:
     """Validate the structure theorem on a reduced closed diagram and
     return its ``ring_decomposition``.
 
@@ -609,58 +613,14 @@ def check_cycle_structure(
     torus the cycles of one component are arranged cyclically and the
     band where the component closes up may sit between two loops of the
     same kind, so alternation is a specifically annular fact.)
-
-    ``cycles``, when given, must be ``directed_cycles(c)``; passing them
-    lets a caller that already has them skip the second search.
     """
     # cycle-level clauses come first so that hand-built pathologies are
     # named even when (necessarily) unreduced: a mixed cycle always
     # contains a merge-then-split edge, i.e. a type II redex
-    if cycles is None:
-        cycles = directed_cycles(c)
-    classes = []
-    for cyc in cycles:
-        if cyc.pure is None:
-            raise StructureViolation(
-                f"cycle through {cyc.vertices} mixes splits and merges"
-            )
-        mw = sum(len(c.cuts.get(h, ())) for h in cyc.heads)
-        lw = sum(c.long.get(h, 0) for h in cyc.heads)
-        if mw <= 0:
-            raise StructureViolation(f"cycle through {cyc.vertices} has winding {mw}")
-        classes.append((mw, lw))
-    for f in c.free_loops:
-        if len(f.cuts) <= 0:
-            raise StructureViolation("free loop with nonpositive winding")
-        classes.append((len(f.cuts), f.long))
-
-    rings = ring_decomposition(c, cycles)  # NotReduced gate for the ring-level clauses
-    for ring in rings:
-        if ring.kind == "free":
-            continue
-        if c.mode == ANNULAR:
-            kinds = [cyc.pure for cyc in ring.cycles]
-            for a, b in zip(kinds, kinds[1:]):
-                if a == b:
-                    raise StructureViolation(
-                        f"consecutive {a} loops do not alternate in component "
-                        f"{ring.vertices}"
-                    )
-    if c.mode == ANNULAR:
-        for mw, _ in classes:
-            if mw != 1:
-                raise StructureViolation(f"annular cycle winds {mw} times, expected 1")
-    elif c.mode == TORAL and classes:
-        n0 = classes[0][0]
-        k0 = classes[0][1] % n0
-        for mw, lw in classes:
-            if mw != n0 or lw % n0 != k0:
-                raise StructureViolation(
-                    f"toral cycles disagree: {(mw, lw)} vs {(n0, k0)}"
-                )
-        if math.gcd(n0, k0) != 1:
-            raise StructureViolation(f"toral class ({n0},{k0}) is not primitive")
-    return rings
+    s = Structure(c)
+    s.check_cycles()
+    _require_reduced(c)
+    return s.checked_rings()
 
 
 def cutting_sequence(c: ClosedDiagram):

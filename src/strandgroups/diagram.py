@@ -33,6 +33,9 @@ SPLIT = 0
 MERGE = 1
 DEAD = 2
 
+# output slots by vertex kind: a split has two, a merge one, a dead vertex none
+OUT_SLOTS = ((1, 2), (2,), ())
+
 TOMB = -1
 
 TYPE_I = "I"
@@ -133,15 +136,10 @@ class StrandDiagram:
         """Yield live edges as (tail_endpoint, head_endpoint) pairs."""
         for i, peer in enumerate(self.src_conn):
             yield (source_code(i), peer)
-        kind = self.kind
         conn = self.conn
-        for v in range(len(kind)):
-            k = kind[v]
-            if k == SPLIT:
-                yield (3 * v + 1, conn[3 * v + 1])
-                yield (3 * v + 2, conn[3 * v + 2])
-            elif k == MERGE:
-                yield (3 * v + 2, conn[3 * v + 2])
+        for v, k in enumerate(self.kind):
+            for s in OUT_SLOTS[k]:
+                yield (3 * v + s, conn[3 * v + s])
 
     def edge_class(self, head: int) -> int:
         """Wrap count of the edge arriving at ``head``: a type I bigon
@@ -235,24 +233,17 @@ class StrandDiagram:
     def _check_acyclic(self) -> None:
         kind = self.kind
         conn = self.conn
-        indeg = {}
-        for v in range(len(kind)):
-            k = kind[v]
-            if k == DEAD:
-                continue
-            deg = 0
-            in_slots = (0,) if k == SPLIT else (0, 1)
-            for s in in_slots:
+        indeg = {v: 0 for v in self.live_vertices()}
+        for v in indeg:
+            for s in OUT_SLOTS[kind[v]]:
                 if conn[3 * v + s] >= 0:
-                    deg += 1
-            indeg[v] = deg
+                    indeg[conn[3 * v + s] // 3] += 1
         queue = [v for v, dg in indeg.items() if dg == 0]
         seen = 0
         while queue:
             v = queue.pop()
             seen += 1
-            out_slots = (1, 2) if kind[v] == SPLIT else (2,)
-            for s in out_slots:
+            for s in OUT_SLOTS[kind[v]]:
                 peer = conn[3 * v + s]
                 if peer >= 0:
                     w = peer // 3

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import AlphabetError
 from .trees import TreePair, antichain, comb, num_leaves, tree_from_antichain, tree_with_cut
@@ -314,23 +315,28 @@ def brute_conj_witness(w1: Word, w2: Word, max_len: int) -> Word | None:
 
 
 def _witness_bfs(group: str, m1: PrefixMap, m2: PrefixMap, max_len: int) -> Word | None:
-    gens = _alphabet(group)
-    layer: list[tuple[tuple[Generator, ...], PrefixMap]] = [((), identity_map())]
     for length in range(max_len + 1):
-        for letters, gm in layer:
+        for letters, gm in _conjugators(group, length):
             # test m1 . g == g . m2, equivalent to g^-1 m1 g == m2
             if compose(m1, gm) == compose(gm, m2):
                 return Word(group, letters)
-        if length == max_len:
-            break
-        nxt = []
-        for letters, gm in layer:
-            for g in gens:
-                if letters and letters[-1] == g.inverse():
-                    continue
-                nxt.append((letters + (g,), compose(gm, generator_map(g))))
-        layer = nxt
     return None
+
+
+@cache
+def _conjugators(group: str, length: int) -> tuple[tuple[tuple[Generator, ...], PrefixMap], ...]:
+    """The freely reduced words of ``length`` letters with their maps, in
+    search order.  They do not depend on the pair searched, so each
+    layer is built once and kept for the life of the process."""
+    if length == 0:
+        return (((), identity_map()),)
+    gens = _alphabet(group)
+    return tuple(
+        (letters + (g,), compose(gm, generator_map(g)))
+        for letters, gm in _conjugators(group, length - 1)
+        for g in gens
+        if not (letters and letters[-1] == g.inverse())
+    )
 
 
 def _witness_meet(group: str, m1: PrefixMap, m2: PrefixMap, max_len: int) -> Word | None:

@@ -23,9 +23,10 @@ per other root (374 roots, under one vertex read on average per pruned
 root, on the 10^3 letter T word of the benchmark).  A symmetric power
 w^k keeps many roots tied, and ties are automorphisms whose orbits are
 skipped, so t tied roots cost O(log t) traversals, not t (w^32 of a
-100-letter word: 64 tied roots, 3 traversals).  The structure (cycles,
-class, rings) is computed once per canonical form and shared by the
-normalization, the structure check and the ring order.
+100-letter word: 64 tied roots, 3 traversals).  The structure comes
+from one ``closure.reduced_structure`` per form, which gates on
+reduction once; the normalization, the structure check and the ring
+order all read its cycles and rings.
 """
 
 from __future__ import annotations
@@ -38,30 +39,27 @@ from .closure import (
     ClosedDiagram,
     Cycle,
     Ring,
-    check_cycle_structure,
+    Structure,
     close_cylindrical,
-    directed_cycles,
     reduce_closed,
+    reduced_structure,
 )
-from .errors import AlphabetError, NotReduced, StructureViolation
+from .errors import AlphabetError, StructureViolation
 from .oracle import PrefixMap, word_from_map_t
-from .rewrite import find_redexes, reduce_diagram
+from .rewrite import reduce_diagram
 from .trees import antichain, comb
 from .words import ALPHABETS, Word, word_to_diagram
 
 
-def cycle_class(t: ClosedDiagram, cycles: list[Cycle] | None = None) -> tuple[int, int]:
-    """The common (meridian, wrap) class of all directed cycles;
-    ``cycles``, when given, must be ``directed_cycles(t)``."""
-    if cycles is None:
-        cycles = directed_cycles(t)
-    classes = set()
-    for cyc in cycles:
-        mw = sum(len(t.cuts.get(h, ())) for h in cyc.heads)
-        lw = sum(t.long.get(h, 0) for h in cyc.heads)
-        classes.add((mw, lw))
-    for f in t.free_loops:
-        classes.add((len(f.cuts), f.long))
+def cycle_class(t: ClosedDiagram) -> tuple[int, int]:
+    """The common (meridian, wrap) class of all directed cycles and free
+    loops."""
+    return _common_class(t, Structure(t).cycles)
+
+
+def _common_class(t: ClosedDiagram, cycles: list[Cycle]) -> tuple[int, int]:
+    classes = {cyc.cls for cyc in cycles}
+    classes.update((len(f.cuts), f.long) for f in t.free_loops)
     if not classes:
         raise StructureViolation("toral diagram has no directed cycle")
     if len(classes) != 1:
@@ -83,22 +81,20 @@ def dehn_twist(t: ClosedDiagram, times: int = 1) -> ClosedDiagram:
     return t
 
 
-def _normalize(t: ClosedDiagram) -> tuple[list[Cycle], int, int]:
-    """``dehn_normalize`` in place; returns the directed cycles (a twist
-    changes wraps, not cycles) and the normalized class (n, k)."""
-    if find_redexes(t):
-        raise NotReduced("normalize after reducing")
-    cycles = directed_cycles(t)
-    n, k = cycle_class(t, cycles)
+def _normalize(t: ClosedDiagram, cycles: list[Cycle]) -> tuple[int, int]:
+    """``dehn_normalize`` in place, given the directed cycles of ``t``;
+    returns the normalized class (n, k).  The twist changes wraps, not
+    cycles, so ``cycles`` stay valid apart from their wrap sums."""
+    n, k = _common_class(t, cycles)
     shift = (k % n - k) // n
     if shift:
         dehn_twist(t, shift)
-    return cycles, n, k % n
+    return n, k % n
 
 
 def dehn_normalize(t: ClosedDiagram) -> ClosedDiagram:
     """Twist until the common class (n, k) satisfies 0 <= k < n; idempotent."""
-    _normalize(t)
+    _normalize(t, reduced_structure(t).cycles)
     return t
 
 
@@ -109,23 +105,20 @@ def _t_word(w: Word) -> Word:
     return w if w.group == "T" else Word("T", w.letters)
 
 
-def toral_form(w: Word) -> CanonicalForm:
-    w = _t_word(w)
-    d = word_to_diagram(w)
+def _reduced_toral(w: Word) -> ClosedDiagram:
+    d = word_to_diagram(_t_word(w))
     reduce_diagram(d)
-    t = close_cylindrical(d, 0)
-    reduce_closed(t)
-    return canonical_toral(t)
+    return reduce_closed(close_cylindrical(d, 0))
+
+
+def toral_form(w: Word) -> CanonicalForm:
+    return canonical_toral(_reduced_toral(w))
 
 
 def rotation_number(w: Word) -> Fraction:
     """Diagrammatic rotation number: the normalized class k/n."""
-    w = _t_word(w)
-    d = word_to_diagram(w)
-    reduce_diagram(d)
-    t = close_cylindrical(d, 0)
-    reduce_closed(t)
-    _cycles, n, k = _normalize(t)
+    t = _reduced_toral(w)
+    n, k = _common_class(t, reduced_structure(t).cycles)
     if gcd(n, k % n) != 1 and k % n != 0:
         raise StructureViolation(f"reduced toral class ({n},{k}) is not primitive")
     return Fraction(k % n, n)
@@ -154,29 +147,17 @@ def is_conjugate_t(w1: Word, w2: Word) -> bool:
 # -- cyclic canonical form ----------------------------------------------------
 
 
-def _cyclic_units(t: ClosedDiagram, n: int, rings: list[Ring]):
+def _cyclic_units(n: int, rings: list[Ring]):
     """Rings in cyclic order with per-unit cut runs.
 
     Returns a list of (ring, run_positions) in cyclic order starting at
     the run containing the globally smallest cut.  Validates that the
-    owner pattern is (unit_1 ... unit_p)^n.
+    owner pattern is (unit_1 ... unit_p)^n; every ring owns a cut, so a
+    pattern that repeats names each ring exactly once.
     """
-    owner = {}
-    for idx, ring in enumerate(rings):
-        if ring.kind == "free":
-            for p in ring.loop.cuts:
-                owner[p] = idx
-        else:
-            for v in ring.vertices:
-                k = t.kind[v]
-                slots = (1, 2) if k == 0 else (2,)
-                for s in slots:
-                    h = t.conn[3 * v + s]
-                    for p in t.cuts.get(h, ()):
-                        owner[p] = idx
-    marks = sorted(owner)
+    owner = {p: idx for idx, ring in enumerate(rings) for p in ring.cuts}
     runs = []  # (ring index, [positions])
-    for p in marks:
+    for p in sorted(owner):
         o = owner[p]
         if runs and runs[-1][0] == o:
             runs[-1][1].append(p)
@@ -196,34 +177,18 @@ def _cyclic_units(t: ClosedDiagram, n: int, rings: list[Ring]):
     for rep in range(1, len(runs) // max(p_units, 1)):
         if [o for o, _ in runs[rep * p_units : (rep + 1) * p_units]] != pattern:
             raise StructureViolation("ring pattern does not repeat around the torus")
-    if sorted(pattern) != list(range(p_units)):
-        raise StructureViolation("rings interleave; bands are not cyclically ordered")
     return [(rings[o], runs[i][1]) for i, o in enumerate(pattern)]
 
 
-def _unit_roots(t: ClosedDiagram, ring, run, whole: bool):
-    if ring.kind == "free":
-        return None
+def _unit_roots(t: ClosedDiagram, ring: Ring, run, whole: bool) -> list[int]:
     if whole:
         return [v for cyc in ring.cycles for v in cyc.vertices]
-    # first cycle in this unit's run order
-    pos_rank = {p: i for i, p in enumerate(run)}
-    best = None
-    for cyc in ring.cycles:
-        ranks = [
-            pos_rank[p]
-            for h in cyc.heads
-            for p in t.cuts.get(h, ())
-            if p in pos_rank
-        ]
-        if not ranks:
-            continue
-        r = min(ranks)
-        if best is None or r < best[0]:
-            best = (r, cyc)
-    if best is None:
+    # the first cycle in this unit's run order
+    cycle_of = {p: cyc for cyc in ring.cycles for h in cyc.heads for p in t.cuts.get(h, ())}
+    first = next((cycle_of[p] for p in run if p in cycle_of), None)
+    if first is None:
         raise StructureViolation("component cycle carries no cut")
-    return best[1].vertices
+    return first.vertices
 
 
 def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
@@ -234,9 +199,10 @@ def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
     both gauge residuals), and minimizes over rotations.
     """
     t = t.copy()
-    cycles, n, k = _normalize(t)
-    rings = check_cycle_structure(t, cycles)
-    units = _cyclic_units(t, n, rings)
+    s = reduced_structure(t)
+    n, k = _normalize(t, s.cycles)
+    # the ring clauses read classes modulo n, which the twist preserves
+    units = _cyclic_units(n, s.checked_rings())
     whole = len(units) == 1
     encodings = []
     for ring, run in units:
@@ -246,16 +212,14 @@ def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
             roots = _unit_roots(t, ring, run, whole)
             encodings.append(min_encoding(t, roots, with_weights=True))
     pattern = tuple(1 if ring.kind == "free" else 0 for ring, _ in units)
-    if encodings:
-        rotations = [
-            (
-                b"|".join(encodings[i:] + encodings[:i]),
-                pattern[i:] + pattern[:i],
-            )
-            for i in range(len(encodings))
-        ]
-        body, pattern = min(rotations)
-    else:
-        body = b""
+    # the class check leaves at least one unit
+    rotations = [
+        (
+            b"|".join(encodings[i:] + encodings[:i]),
+            pattern[i:] + pattern[:i],
+        )
+        for i in range(len(encodings))
+    ]
+    body, pattern = min(rotations)
     blob = b"T%d,%d#%d|" % (n, k, len(units)) + body
     return CanonicalForm(blob, (len(units), t.num_vertices(), pattern))

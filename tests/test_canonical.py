@@ -361,22 +361,38 @@ def test_mirror_pairs_not_identified():
 
 
 def test_structure_is_computed_once_per_canonical_form(monkeypatch):
-    from strandgroups import closure, toral
+    # one structure pass and one reduction gate per F and T form; the V
+    # form needs weak components only, so it runs no cycle search
+    from strandgroups import closure, rewrite, toral
 
-    calls = []
-    search = closure.directed_cycles
+    passes = []
+    scans = []
+    init = closure.Structure.__init__
+    scan = rewrite.find_redexes
 
-    def counted(c):
-        calls.append(c)
-        return search(c)
+    def counted_pass(self, c):
+        passes.append(c)
+        init(self, c)
 
-    monkeypatch.setattr(closure, "directed_cycles", counted)
-    monkeypatch.setattr(toral, "directed_cycles", counted)
+    def counted_scan(g):
+        scans.append(g)
+        return scan(g)
+
+    monkeypatch.setattr(closure.Structure, "__init__", counted_pass)
+    for module in (closure, canonical, toral, vgroup):
+        monkeypatch.setattr(module, "find_redexes", counted_scan, raising=False)
     w = parse_word("x0 x1^-1 x0 x1 x1 x0^-1 x1")
     canonical_annular(_reduced_annular(w))
-    assert len(calls) == 1
-    calls.clear()
+    assert (len(passes), len(scans)) == (1, 1)
+    passes.clear()
+    scans.clear()
     d = word_to_diagram(Word("T", w.letters + (Generator("c", 1),)))
     reduce_diagram(d)
     toral.canonical_toral(reduce_closed(close_cylindrical(d, 0)))
-    assert len(calls) == 1
+    assert (len(passes), len(scans)) == (1, 1)
+    passes.clear()
+    scans.clear()
+    d = word_to_diagram(Word("V", w.letters + (Generator("pi0", 1),)))
+    reduce_diagram(d)
+    canonical_abstract(reduce_closed(close_abstract(d)))
+    assert (len(passes), len(scans)) == (0, 0)

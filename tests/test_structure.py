@@ -230,3 +230,15 @@ def test_interleaved_loops_tile_the_torus():
     c = _loops(TORAL, ([(0,), (2,)], 1), ([(1,), (3,)], 1))
     form = canonical_toral(c)
     assert form.blob == b"T2,1#2|F|F"
+
+
+def test_readers_of_a_reduced_structure_check_the_cycles():
+    # ring_decomposition and the toral entry points check the cycle
+    # clauses right after the reduction gate, so a cycle without cuts is
+    # named (not a failed sort, nor a division by a zero class)
+    with pytest.raises(StructureViolation, match=r"^cycle through \[1\] has winding 0$"):
+        ring_decomposition(_split_merge(merge_cuts=()))
+    t = _split_merge(split_cuts=(), merge_cuts=(), mode=TORAL)
+    for entry in (canonical_toral, dehn_normalize):
+        with pytest.raises(StructureViolation, match=r"^cycle through \[1\] has winding 0$"):
+            entry(t.copy())
