@@ -24,6 +24,7 @@ from .words import (
     generator_diagram,
     parse_word,
     random_word,
+    reduced_diagram,
     word,
     word_to_diagram,
     word_to_text,
@@ -93,6 +94,7 @@ __all__ = [
     "generator_diagram",
     "parse_word",
     "random_word",
+    "reduced_diagram",
     "word",
     "word_to_diagram",
     "word_to_text",

@@ -48,8 +48,7 @@ from .closure import (
     ring_decomposition,
 )
 from .errors import AlphabetError
-from .rewrite import reduce_diagram
-from .words import Word, word_to_diagram
+from .words import Word, reduced_diagram
 
 
 @dataclass(frozen=True, order=True)
@@ -254,11 +253,7 @@ def canonical_annular(a: ClosedDiagram) -> CanonicalForm:
 
 def annular_form(w: Word) -> CanonicalForm:
     """Word -> reduced square diagram -> reduced annular diagram -> bytes."""
-    d = word_to_diagram(w)
-    reduce_diagram(d)
-    a = close_annular(d)
-    reduce_closed(a)
-    return canonical_annular(a)
+    return canonical_annular(reduce_closed(close_annular(reduced_diagram(w))))
 
 
 def is_conjugate_f(w1: Word, w2: Word) -> bool:

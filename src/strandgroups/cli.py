@@ -27,14 +27,12 @@ from .oracle import brute_conj_witness, word_to_map
 from .rewrite import reduce_diagram
 from .toral import canonical_toral, is_conjugate_t, rotation_number
 from .vgroup import canonical_abstract, is_conjugate_v
-from .words import parse_word, random_word, word_to_diagram, word_to_text
+from .words import parse_word, random_word, reduced_diagram, word_to_diagram, word_to_text
 
 
 def _cmd_reduce(args) -> int:
-    w = parse_word(args.word, args.group)
-    d = word_to_diagram(w)
     trace = [] if args.trace else None
-    reduce_diagram(d, trace=trace)
+    d = reduced_diagram(parse_word(args.word, args.group), trace=trace)
     edges = sum(1 for _ in d.edges())
     print(f"vertices={d.num_vertices()} edges={edges}")
     if args.trace:
@@ -56,8 +54,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_eq(args) -> int:
     w1 = parse_word(args.word1, args.group)
     w2 = parse_word(args.word2, args.group)
-    d = word_to_diagram(w1 * w2.inverse())
-    reduce_diagram(d)
+    d = reduced_diagram(w1, w2.inverse())
     print("true" if d.is_identity() else "false")
     return 0
 
@@ -98,9 +95,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    w = parse_word(args.word, args.group)
-    d = word_to_diagram(w)
-    reduce_diagram(d)
+    d = reduced_diagram(parse_word(args.word, args.group))
     if args.stage == "square":
         out = square_to_dot(d) if args.format == "dot" else to_json_text(square_to_json(d))
     else:
@@ -120,7 +115,7 @@ def _cmd_bench(args) -> int:
         raise AlphabetError(f"unknown bench target {args.bench_verb!r}")
     lengths = sorted(int(x) for x in args.lengths.split(","))
     rng = random.Random(args.seed)
-    print("# N build_s reduce_s total_s vertices_before vertices_after")
+    print("# N build_s reduce_s total_s vertices_before vertices_after stream_s stream_slots")
     for n in lengths:
         w = random_word("F", n, rng)
         t0 = time.perf_counter()
@@ -130,8 +125,12 @@ def _cmd_bench(args) -> int:
         reduce_diagram(d)
         t2 = time.perf_counter()
         after = d.num_vertices()
+        del d
+        t3 = time.perf_counter()
+        slots = len(reduced_diagram(w).kind)
+        t4 = time.perf_counter()
         print(
-            f"{n} {t1 - t0:.3f} {t2 - t1:.3f} {t2 - t0:.3f} {before} {after}",
+            f"{n} {t1 - t0:.3f} {t2 - t1:.3f} {t2 - t0:.3f} {before} {after} {t4 - t3:.3f} {slots}",
             flush=True,
         )
     return 0

@@ -31,6 +31,7 @@ once; ``check_cycle_structure`` names cycle-level faults before it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -312,49 +313,59 @@ def _merge_free_loops(c: ClosedDiagram) -> None:
     the annulus/torus the loops must also cobound an empty region,
     detected as two of their cuts being neighbours in the global cut
     order (foreign bands would have to interpose cuts everywhere).
+
+    The marks are sorted once and linked.  Each merge takes the first
+    mergeable pair in cut order (keyed by its first mark, so the torus's
+    wrap pair comes last) and unlinks the later loop's marks; only the
+    marks before them can start new pairs.
     """
     loops = c.free_loops
     if c.mode == CLOSED:
-        seen = {}
-        kept = []
+        first = {}
         for f in loops:
-            key = (len(f.cuts), f.long)
-            if key not in seen:
-                seen[key] = True
-                kept.append(f)
-        c.free_loops = kept
+            first.setdefault((len(f.cuts), f.long), f)
+        c.free_loops = list(first.values())
         return
+    if len(loops) < 2:
+        return
+    # global cut order: (position, owner), an edge's cut owned by len(loops)
+    marks = [(p, len(loops)) for ps in c.cuts.values() for p in ps]
+    marks += [(p, li) for li, f in enumerate(loops) for p in f.cuts]
+    marks.sort(key=lambda x: x[0])
+    owner = [o for _, o in marks]
+    owned = [[] for _ in range(len(loops) + 1)]
+    for i, o in enumerate(owner):
+        owned[o].append(i)
+    # the class that merges; None for edges and for annular loops that do
+    # not wind once, since embedded annular loops do
+    cls = [(len(f.cuts), f.long) if c.mode == TORAL or len(f.cuts) == 1 else None for f in loops]
+    cls.append(None)
+    nm = len(owner)
+    nxt = list(range(1, nm)) + [0 if c.mode == TORAL else -1]
+    prv = [nm - 1 if c.mode == TORAL else -1] + list(range(nm - 1))
 
-    changed = True
-    while changed:
-        changed = False
-        loops = c.free_loops
-        if len(loops) < 2:
-            break
-        # global cut order: (position, owner); owner -1.. for loops
-        marks = []
-        for h, ps in c.cuts.items():
-            for p in ps:
-                marks.append((p, None))
-        for li, f in enumerate(loops):
-            for p in f.cuts:
-                marks.append((p, li))
-        marks.sort(key=lambda x: x[0])
-        nm = len(marks)
-        for idx in range(nm if c.mode == TORAL else nm - 1):
-            (p1, o1) = marks[idx]
-            (p2, o2) = marks[(idx + 1) % nm]
-            if o1 is None or o2 is None or o1 == o2:
-                continue
-            a, b = loops[o1], loops[o2]
-            if (len(a.cuts), a.long) != (len(b.cuts), b.long):
-                continue
-            if c.mode == ANNULAR and len(a.cuts) != 1:
-                continue  # embedded annular loops wind once
-            keep, drop = (o1, o2) if o1 < o2 else (o2, o1)
-            c.free_loops = [f for k, f in enumerate(loops) if k != drop]
-            changed = True
-            break
+    def mergeable(i):
+        j = nxt[i]
+        a, b = owner[i], owner[j]
+        return j >= 0 and a != b and cls[a] is not None and cls[a] == cls[b]
+
+    heap = [i for i in range(nm) if mergeable(i)]  # ascending, so a heap
+    dropped = set()
+    while heap:
+        i = heapq.heappop(heap)
+        if owner[i] in dropped or not mergeable(i):
+            continue
+        drop = max(owner[i], owner[nxt[i]])
+        dropped.add(drop)
+        for m in owned[drop]:
+            if prv[m] >= 0:
+                nxt[prv[m]] = nxt[m]
+            if nxt[m] >= 0:
+                prv[nxt[m]] = prv[m]
+        for m in owned[drop]:
+            if prv[m] >= 0 and owner[prv[m]] != drop:
+                heapq.heappush(heap, prv[m])
+    c.free_loops = [f for k, f in enumerate(loops) if k not in dropped]
 
 
 # -- structure: cycles, components, rings -------------------------------------

@@ -26,6 +26,8 @@ unique head) and stored sparsely.
 
 from __future__ import annotations
 
+from itertools import accumulate, compress
+
 from .errors import ArityMismatch, BoundaryMismatch, CyclicGraph, DanglingPort
 from .trees import TreePair
 
@@ -37,6 +39,8 @@ DEAD = 2
 OUT_SLOTS = ((1, 2), (2,), ())
 
 TOMB = -1
+_ALIVE = bytes.maketrans(b"\x00\x01\x02", b"\x01\x01\x00")  # kind -> 1 if live
+_DEAD3 = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x03")  # kind -> 3 if dead
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -121,8 +125,12 @@ class StrandDiagram:
             self.snk_conn[(-e - 3) // 2] = val
 
     def _link(self, a: int, b: int) -> None:
-        self._write_conn(a, b)
-        self._write_conn(b, a)
+        if a >= 0 and b >= 0:
+            self.conn[a] = b
+            self.conn[b] = a
+        else:
+            self._write_conn(a, b)
+            self._write_conn(b, a)
 
     def is_tail(self, e: int) -> bool:
         """True if an edge leaves from endpoint ``e``."""
@@ -189,6 +197,25 @@ class StrandDiagram:
         d.snk_conn = list(self.snk_conn)
         d.long = None if self.long is None else dict(self.long)
         return d
+
+    def compact(self) -> None:
+        """Renumber the live vertices 0..n-1 in order, in place."""
+        kind = self.kind
+        live = bytearray(len(self.conn))  # 1 at each slot of a live vertex
+        for s in range(3):
+            live[s::3] = kind.translate(_ALIVE)
+        # an endpoint moves down 3 places per dead vertex below it; boundary
+        # codes index the zeros appended at the end and stay where they are
+        shift = list(accumulate(kind.translate(_DEAD3)))
+        shift += [0] * (max(self.m, self.n) + 1)
+        self.conn[:] = [e - shift[e // 3] for e in compress(self.conn, live)]
+        kind[:] = kind.translate(None, bytes((DEAD,)))
+        for ends in (self.src_conn, self.snk_conn):
+            ends[:] = [e - shift[e // 3] for e in ends]
+        if self.long:
+            moved = {h - shift[h // 3]: w for h, w in self.long.items()}
+            self.long.clear()
+            self.long.update(moved)
 
     # -- validation ------------------------------------------------------
 

@@ -44,10 +44,6 @@ def treepair_to_map(tp: TreePair) -> PrefixMap:
     return PrefixMap(tuple(antichain(tp.domain)), tuple(antichain(tp.range_)), tp.bijection)
 
 
-def map_to_treepair(m: PrefixMap) -> TreePair:
-    return TreePair(tree_from_antichain(m.domain), tree_from_antichain(m.range_), m.perm)
-
-
 def minimize(m: PrefixMap) -> PrefixMap:
     """Cancel caret pairs: sibling domain leaves sent order-preservingly
     to sibling range leaves collapse to their parents."""

@@ -28,7 +28,8 @@ currently reducible vertices, fire those moves, then re-examine only
 vertices adjacent to the rewiring, until no redex remains.  Total work
 is linear in practice; per-round sizes are exposed for measurement.
 ``order="random"`` fires redexes in random order, purely so tests can
-exercise confluence.
+exercise confluence.  ``cascade`` fires the moves reachable from one
+vertex: it is how ``words.reduced_diagram`` reduces after each letter.
 """
 
 from __future__ import annotations
@@ -121,6 +122,28 @@ def apply_redex(g, r: Redex):
         raise StaleRedex(f"redex {r} no longer matches the diagram")
     g.splice(r.kind, r.top, r.bottom)
     return g
+
+
+def cascade(g, u: int, trace: list | None = None) -> int:
+    """Fire the redex topped by vertex u, if any, and every redex that the
+    moves create, which is topped by a tail that ``splice`` returns;
+    returns the number of moves."""
+    kind = g.kind
+    splice = g.splice
+    moves = 0
+    stack = [u]
+    while stack:
+        u = stack.pop()
+        hit = _redex_at(g, u) if kind[u] != DEAD else None
+        if hit is not None:
+            t, v = hit
+            if trace is not None:
+                trace.append((t, u, v))
+            moves += 1
+            for a in splice(t, u, v):
+                if a >= 0:
+                    stack.append(a // 3)
+    return moves
 
 
 def reduce_diagram(

@@ -44,11 +44,10 @@ from .closure import (
     reduce_closed,
     reduced_structure,
 )
-from .errors import AlphabetError, StructureViolation
+from .errors import StructureViolation
 from .oracle import PrefixMap, word_from_map_t
-from .rewrite import reduce_diagram
 from .trees import antichain, comb
-from .words import ALPHABETS, Word, word_to_diagram
+from .words import Word, reduced_diagram
 
 
 def cycle_class(t: ClosedDiagram) -> tuple[int, int]:
@@ -99,16 +98,11 @@ def dehn_normalize(t: ClosedDiagram) -> ClosedDiagram:
 
 
 def _t_word(w: Word) -> Word:
-    for g in w.letters:
-        if g.symbol not in ALPHABETS["T"]:
-            raise AlphabetError(f"generator {g.symbol!r} is illegal in T")
     return w if w.group == "T" else Word("T", w.letters)
 
 
 def _reduced_toral(w: Word) -> ClosedDiagram:
-    d = word_to_diagram(_t_word(w))
-    reduce_diagram(d)
-    return reduce_closed(close_cylindrical(d, 0))
+    return reduce_closed(close_cylindrical(reduced_diagram(_t_word(w)), 0))
 
 
 def toral_form(w: Word) -> CanonicalForm:

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 LEAF = None
 
 
-def is_leaf(t) -> bool:
-    return t is None
-
-
 def num_leaves(t) -> int:
     count = 0
     stack = [t]

@@ -36,10 +36,9 @@ from .closure import (
     reduce_closed,
     weak_components,
 )
-from .errors import AlphabetError, CutoffExceeded
+from .errors import CutoffExceeded
 from .oracle import equals_identity, identity_map, compose, word_to_map
-from .rewrite import reduce_diagram
-from .words import ALPHABETS, Word, word_to_diagram
+from .words import Word, reduced_diagram
 
 
 def cut_cochain(c: ClosedDiagram) -> dict:
@@ -128,19 +127,11 @@ def closed_diagrams_equal(c1: ClosedDiagram, c2: ClosedDiagram) -> bool:
 
 
 def _v_word(w: Word) -> Word:
-    for g in w.letters:
-        if g.symbol not in ALPHABETS["V"]:
-            raise AlphabetError(f"generator {g.symbol!r} is illegal in V")
     return w if w.group == "V" else Word("V", w.letters)
 
 
 def closed_form(w: Word) -> ClosedDiagram:
-    w = _v_word(w)
-    d = word_to_diagram(w)
-    reduce_diagram(d)
-    c = close_abstract(d)
-    reduce_closed(c)
-    return c
+    return reduce_closed(close_abstract(reduced_diagram(_v_word(w))))
 
 
 def is_conjugate_v(w1: Word, w2: Word) -> bool:

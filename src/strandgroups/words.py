@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
-from .diagram import (
-    StrandDiagram,
-    identity_diagram,
-    from_tree_pair,
-    invert,
-    sink_code,
-    source_code,
-)
+from .diagram import DEAD, MERGE, StrandDiagram, from_tree_pair, identity_diagram, invert, sink_code
 from .errors import AlphabetError, ParseError
+from .rewrite import cascade
 from .trees import TreePair, tree_from_antichain
 
 
@@ -67,8 +63,7 @@ GENERATOR_PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     symbol: str
     sign: int  # +1 or -1
 
@@ -84,9 +79,10 @@ class Word:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise AlphabetError(f"unknown group {self.group!r}")
-        for g in self.letters:
-            if g.symbol not in ALPHABETS[self.group]:
-                raise AlphabetError(f"generator {g.symbol!r} is illegal in {self.group}")
+        alpha = ALPHABETS[self.group]
+        if not {g.symbol for g in set(self.letters)} <= set(alpha):
+            g = next(g for g in self.letters if g.symbol not in alpha)
+            raise AlphabetError(f"generator {g.symbol!r} is illegal in {self.group}")
 
     def __len__(self):
         return len(self.letters)
@@ -97,21 +93,13 @@ class Word:
         return Word(self.group, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.group, tuple(g.inverse() for g in reversed(self.letters)))
+        inv = {g: g.inverse() for g in set(self.letters)}
+        return Word(self.group, tuple(map(inv.__getitem__, reversed(self.letters))))
 
 
 def word(group: str, *letters) -> Word:
     """Convenience constructor from (symbol, sign) pairs or symbols."""
-    out = []
-    for item in letters:
-        if isinstance(item, Generator):
-            out.append(item)
-        elif isinstance(item, str):
-            out.append(Generator(item, 1))
-        else:
-            sym, sg = item
-            out.append(Generator(sym, sg))
-    return Word(group, tuple(out))
+    return Word(group, tuple(Generator(x, 1) if isinstance(x, str) else Generator(*x) for x in letters))
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -122,33 +110,36 @@ _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(\^(-?\d+))?$")
 
 
 def parse_word(text: str, group: str = "F") -> Word:
-    """Parse the word grammar; see module docstring."""
+    """Parse the word grammar; see module docstring.  Each distinct token
+    is validated once, at its first occurrence, and its letters reused."""
     if group not in GROUPS:
         raise AlphabetError(f"unknown group {group!r}")
-    letters: list[Generator] = []
-    pos = 0
-    for raw in re.split(r"[\s*]+", text):
-        if not raw:
+    tokens = re.split(r"[\s*]+", text)
+    letters = {"": ()}
+    for raw in dict.fromkeys(tokens):  # distinct tokens in text order
+        if raw in letters:
             continue
-        pos = text.index(raw, pos)
         m = _TOKEN.match(raw)
         if not m:
-            raise ParseError(pos, f"bad token {raw!r}")
+            raise ParseError(_offset(text, raw), f"bad token {raw!r}")
         name, _, exp = m.groups()
         sign = 1
         if not name.islower():
             sign = -1
             name = name.lower()
         if name not in GENERATOR_PAIRS:
-            raise ParseError(pos, f"unknown generator {raw!r}")
+            raise ParseError(_offset(text, raw), f"unknown generator {raw!r}")
         if name not in ALPHABETS[group]:
             raise AlphabetError(f"generator {name!r} is illegal in {group}")
         count = 1 if exp is None else int(exp)
         total = sign * count
-        g = Generator(name, 1 if total > 0 else -1)
-        letters.extend([g] * abs(total))
-        pos += len(raw)
-    return Word(group, tuple(letters))
+        letters[raw] = (Generator(name, 1 if total > 0 else -1),) * abs(total)
+    return Word(group, tuple(chain.from_iterable(map(letters.__getitem__, tokens))))
+
+
+def _offset(text: str, raw: str) -> int:
+    """Where token ``raw`` first occurs in ``text``."""
+    return next(m.start() for m in re.finditer(r"[^\s*]+", text) if m[0] == raw)
 
 
 def word_to_text(w: Word) -> str:
@@ -166,32 +157,64 @@ def generator_diagram(g: Generator, group: str = "F") -> StrandDiagram:
     return d
 
 
-# -- fast linear word builder -----------------------------------------------
-#
-# Generator diagrams are tiny and fixed, so building a word's diagram is a
-# single pass that appends a precomputed template per letter and splices it
-# onto the previous letter's dangling strand.
-
-_TEMPLATES: dict[tuple[str, int, bool], tuple] = {}
+# -- linear word builders: one precomputed template per letter ------------------
 
 
-def _template(symbol: str, sign: int, cylindrical: bool):
-    key = (symbol, sign, cylindrical)
-    tpl = _TEMPLATES.get(key)
-    if tpl is not None:
+class _Templates(dict):
+    """Generator -> (kinds, slots, source head, sink tail, wraps, sink wrap),
+    filled on first use from the square (V) or cylindrical (T) diagram."""
+
+    def __init__(self, group: str):
+        self.group = group
+
+    def __missing__(self, g: Generator):
+        d = generator_diagram(g, self.group)
+        x_ep = d.src_conn[0]   # head endpoint fed by the source
+        y_ep = d.snk_conn[0]   # tail endpoint feeding the sink
+        assert x_ep >= 0 and y_ep >= 0, "generator template must not be the identity"
+        lw = d.long or {}
+        tlong = tuple((h, w) for h, w in lw.items() if h >= 0 and w)
+        self[g] = tpl = (bytes(d.kind), tuple(d.conn), x_ep, y_ep, tlong, lw.get(SINK, 0))
         return tpl
-    d = from_tree_pair(GENERATOR_PAIRS[symbol], cylindrical=cylindrical)
-    if sign < 0:
-        d = invert(d)
-    x_ep = d.src_conn[0]   # head endpoint fed by the source
-    y_ep = d.snk_conn[0]   # tail endpoint feeding the sink
-    assert x_ep >= 0 and y_ep >= 0, "generator template must not be the identity"
-    lw = d.long or {}
-    tlong = tuple((h, w) for h, w in lw.items() if h >= 0 and w)
-    snk_lw = lw.get(sink_code(0), 0)
-    tpl = (bytes(d.kind), tuple(d.conn), x_ep, y_ep, tlong, snk_lw)
-    _TEMPLATES[key] = tpl
-    return tpl
+
+
+_TEMPLATES = (_Templates("V"), _Templates("T"))  # indexed by "has wrap counts"
+SINK = sink_code(0)
+
+
+def _grow(d: StrandDiagram, letters):
+    """Splice each letter's template between the sink and its tail, the
+    endpoint that fed the sink; yields that tail after each letter.  The
+    sink edge's wrap count moves onto the template's source edge."""
+    kind = d.kind
+    conn = d.conn
+    snk_conn = d.snk_conn
+    long = d.long
+    templates = _TEMPLATES[long is not None]
+    for g in letters:
+        tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[g]
+        tail = snk_conn[0]
+        off = len(conn)
+        kind.extend(tk)
+        conn.extend(map(off.__add__, tconn))
+        x = x_ep + off
+        y = y_ep + off
+        conn[x] = tail
+        if tail >= 0:
+            conn[tail] = x
+        else:
+            d.src_conn[0] = x
+        conn[y] = SINK
+        snk_conn[0] = y
+        if long is not None:
+            carried = long.pop(SINK, 0)
+            for h, wv in tlong:
+                long[h + off] = wv
+            if carried:
+                long[x] = long.get(x, 0) + carried
+            if snk_lw:
+                long[SINK] = snk_lw
+        yield tail
 
 
 def word_to_diagram(w: Word) -> StrandDiagram:
@@ -200,40 +223,42 @@ def word_to_diagram(w: Word) -> StrandDiagram:
     No reduction is performed; the result has at most 6 vertices per
     letter.  The empty word gives the identity diagram.
     """
-    cyl = w.group == "T"
-    if not w.letters:
-        return identity_diagram(cylindrical=cyl)
-    d = StrandDiagram(1, 1)
+    d = identity_diagram(cylindrical=w.group == "T")
+    for _ in _grow(d, w.letters):
+        pass
+    return d
+
+
+def reduced_diagram(w: Word, *more: Word, trace: list | None = None) -> StrandDiagram:
+    """The reduced diagram of the product ``w * more[0] * ...``, reduced as
+    it is built, with vertices 0..n-1.  By confluence it is the diagram of
+    ``reduce_diagram(word_to_diagram(...))`` up to vertex ids, after as many
+    moves (collected in ``trace``).
+
+    Every template starts with a split and ends with a merge, so after a
+    letter's splice only its tail can top a redex; ``cascade`` fires it and
+    all it uncovers.  Dead vertices at the end of the arrays are dropped,
+    the rest renumbered once they outnumber the live ones.
+    """
+    for u in more:
+        if u.group != w.group:
+            raise AlphabetError("cannot concatenate words over different groups")
+    d = identity_diagram(cylindrical=w.group == "T")
     kind = d.kind
-    conn = d.conn
-    long = {} if cyl else None
-    prev_tail = source_code(0)
-    carried_lw = 0
-    for g in w.letters:
-        tk, tconn, x_ep, y_ep, tlong, snk_lw = _template(g.symbol, g.sign, cyl)
-        off = len(kind) * 3
-        kind.extend(tk)
-        conn.extend(v + off if v >= 0 else v for v in tconn)
-        x = x_ep + off
-        # splice the previous dangling strand into this letter's source edge
-        conn[x] = prev_tail
-        if prev_tail >= 0:
-            conn[prev_tail] = x
-        else:
-            d.src_conn[0] = x
-        if long is not None:
-            for h, wv in tlong:
-                long[h + off] = wv
-            if carried_lw:
-                long[x] = long.get(x, 0) + carried_lw
-            carried_lw = snk_lw
-        prev_tail = y_ep + off
-    d.snk_conn[0] = prev_tail
-    conn[prev_tail] = sink_code(0)
-    if long is not None:
-        if carried_lw:
-            long[sink_code(0)] = carried_lw
-        d.long = long
+    dead = 0
+    for tail in _grow(d, chain(w.letters, *(u.letters for u in more))):
+        if tail >= 0 and kind[tail // 3] == MERGE:
+            dead += 2 * cascade(d, tail // 3, trace)
+            n = len(kind)
+            while n and kind[n - 1] == DEAD:
+                n -= 1
+            dead -= len(kind) - n
+            del kind[n:], d.conn[3 * n :]
+            if 2 * dead > n:
+                d.compact()
+                dead = 0
+    if dead:
+        d.compact()
     return d
 
 

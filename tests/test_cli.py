@@ -109,7 +109,8 @@ def test_bench_rows(capsys):
     assert lines[0].startswith("#")
     rows = [line.split() for line in lines[1:]]
     assert [int(r[0]) for r in rows] == [100, 200]  # sorted ascending
-    assert all(len(r) == 6 for r in rows)
+    assert all(len(r) == 8 for r in rows)
+    assert all(r[7] == r[5] for r in rows)  # the streamed diagram holds only live slots
 
 
 def test_conj_dispatch_t_v(capsys):

@@ -1,0 +1,123 @@
+"""The streamed builder ``reduced_diagram`` against the unreduced
+reference ``word_to_diagram`` followed by ``reduce_diagram``, and the
+token-cached parser against the error positions and messages it kept."""
+
+import random
+
+import pytest
+
+from strandgroups import words
+from strandgroups.canonical import canonical_annular
+from strandgroups.closure import close_abstract, close_annular, close_cylindrical, reduce_closed
+from strandgroups.errors import AlphabetError, ParseError
+from strandgroups.rewrite import encode_square, reduce_diagram
+from strandgroups.toral import canonical_toral
+from strandgroups.vgroup import canonical_abstract
+from strandgroups.words import Generator, Word, parse_word, random_word, reduced_diagram, word_to_diagram
+
+
+def _canon(group, d):
+    if group == "F":
+        return canonical_annular(reduce_closed(close_annular(d))).blob
+    if group == "T":
+        return canonical_toral(reduce_closed(close_cylindrical(d, 0))).blob
+    return canonical_abstract(reduce_closed(close_abstract(d))).blob
+
+
+def _two_step(*ws):
+    d = word_to_diagram(Word(ws[0].group, sum((w.letters for w in ws), ())))
+    trace = []
+    reduce_diagram(d, trace=trace)
+    return d, len(trace)
+
+
+def test_streamed_matches_two_step_reduction():
+    rng = random.Random(71)
+    for i in range(240):
+        group = "FTV"[i % 3]
+        w = random_word(group, rng.randrange(0, 201), rng)
+        for ws in ((w,), (w, w.inverse())):
+            ref, moves = _two_step(*ws)
+            trace = []
+            d = reduced_diagram(*ws, trace=trace)
+            d.validate()
+            assert len(trace) == moves
+            assert len(d.kind) == d.num_vertices() == ref.num_vertices()
+            assert encode_square(d) == encode_square(ref)
+            if len(ws) == 1:
+                assert _canon(group, d) == _canon(group, ref)
+            else:
+                assert d.is_identity()
+
+
+def test_streamed_product_of_several_words():
+    rng = random.Random(72)
+    for group in "FTV":
+        u, v, w = (random_word(group, rng.randrange(0, 60), rng) for _ in range(3))
+        ref, _ = _two_step(u, v, w)
+        assert encode_square(reduced_diagram(u, v, w)) == encode_square(ref)
+    with pytest.raises(AlphabetError):
+        reduced_diagram(Word("F", ()), Word("T", ()))
+
+
+def test_streamed_arrays_stay_within_twice_the_live_vertices(monkeypatch):
+    # observed as each letter's cascade starts: the previous letter left at
+    # most twice its live vertices, and one template (at most 6) came on top
+    seen = []
+    cascade = words.cascade
+
+    def watched(d, u, trace=None):
+        if len(seen) % 97 == 0:
+            seen.append((len(d.kind), d.num_vertices()))
+        else:
+            seen.append(None)
+        return cascade(d, u, trace)
+
+    monkeypatch.setattr(words, "cascade", watched)
+    rng = random.Random(73)
+    for group in "FTV":
+        seen.clear()
+        w = random_word(group, 10**4, rng)
+        d = reduced_diagram(w, w.inverse())
+        assert len(d.kind) == 0 and d.is_identity()
+        sizes = [s for s in seen if s is not None]
+        assert len(sizes) > 100
+        assert all(n <= 2 * live + 6 for n, live in sizes), max(n - 2 * live for n, live in sizes)
+
+
+@pytest.mark.parametrize(
+    "text,group,position,message",
+    [
+        ("x0 $$", "F", 3, "parse error at 3: bad token '$$'"),
+        ("y3", "F", 0, "parse error at 0: unknown generator 'y3'"),
+        ("c", "F", None, "generator 'c' is illegal in F"),
+        ("pi0", "T", None, "generator 'pi0' is illegal in T"),
+        ("x0 %%", "F", 3, "parse error at 3: bad token '%%'"),
+        ("x x0 x", "F", 0, "parse error at 0: unknown generator 'x'"),
+        ("x0 x0^2  X1*x \t x", "F", 12, "parse error at 12: unknown generator 'x'"),
+        ("x1 x10 x1^-3 c x1", "F", 3, "parse error at 3: unknown generator 'x10'"),
+        ("x0^ x0", "F", 0, "parse error at 0: bad token 'x0^'"),
+        ("x0 x0 x0^-2 Pi0 q", "T", None, "generator 'pi0' is illegal in T"),
+        ("x0*x1**c", "F", None, "generator 'c' is illegal in F"),
+        ("  x0   x0 1x", "V", 10, "parse error at 10: bad token '1x'"),
+        ("x0", "Q", None, "unknown group 'Q'"),
+        ("x0 x1^2 x1 x2", "V", 11, "parse error at 11: unknown generator 'x2'"),
+    ],
+)
+def test_parse_errors_keep_positions_and_messages(text, group, position, message):
+    with pytest.raises(ParseError if position is not None else AlphabetError) as exc:
+        parse_word(text, group)
+    assert str(exc.value) == message
+    assert getattr(exc.value, "position", None) == position
+
+
+def test_parse_repeated_tokens_and_cheap_inverse():
+    w = parse_word("x0 X1^2 x0 c^-1 x0", "T")
+    assert w.letters == (
+        Generator("x0", 1), Generator("x1", -1), Generator("x1", -1),
+        Generator("x0", 1), Generator("c", -1), Generator("x0", 1),
+    )
+    assert w.inverse().inverse() == w
+    assert [(g.symbol, g.sign) for g in w.inverse().letters[:2]] == [("x0", -1), ("c", 1)]
+    with pytest.raises(AlphabetError, match="generator 'c' is illegal in F"):
+        Word("F", (Generator("x0", 1), Generator("c", 1)))
