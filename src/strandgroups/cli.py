@@ -30,6 +30,15 @@ from .vgroup import canonical_abstract, is_conjugate_v
 from .words import parse_word, random_word, reduced_diagram, word_to_diagram, word_to_text
 
 
+# each group's closure and conjugacy-class canonical form: annular for F,
+# toral for T, abstract for V
+_CLOSED_FORMS = {
+    "F": (close_annular, canonical_annular),
+    "T": (close_cylindrical, canonical_toral),
+    "V": (close_abstract, canonical_abstract),
+}
+
+
 def _cmd_reduce(args) -> int:
     trace = [] if args.trace else None
     d = reduced_diagram(parse_word(args.word, args.group), trace=trace)
@@ -39,15 +48,8 @@ def _cmd_reduce(args) -> int:
         for kind, top, bottom in trace:
             print(f"{kind} {top} {bottom}")
     if args.emit_canon:
-        # the conjugacy-class canonical form: annular for F, toral for T,
-        # abstract for V
-        if args.group == "F":
-            blob = canonical_annular(reduce_closed(close_annular(d))).blob
-        elif args.group == "T":
-            blob = canonical_toral(reduce_closed(close_cylindrical(d, 0))).blob
-        else:
-            blob = canonical_abstract(reduce_closed(close_abstract(d))).blob
-        print(blob.hex())
+        close, form = _CLOSED_FORMS[args.group]
+        print(form(reduce_closed(close(d))).blob.hex())
     return 0
 
 
@@ -99,12 +101,7 @@ def _cmd_export(args) -> int:
     if args.stage == "square":
         out = square_to_dot(d) if args.format == "dot" else to_json_text(square_to_json(d))
     else:
-        closer = {
-            "F": close_annular,
-            "T": lambda dd: close_cylindrical(dd, 0),
-            "V": close_abstract,
-        }[args.group]
-        c = reduce_closed(closer(d))
+        c = reduce_closed(_CLOSED_FORMS[args.group][0](d))
         out = closed_to_dot(c) if args.format == "dot" else to_json_text(closed_to_json(c))
     print(out)
     return 0

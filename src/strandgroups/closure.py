@@ -299,9 +299,9 @@ def close_abstract(d: StrandDiagram, perm=None) -> ClosedDiagram:
 # -- reduction ----------------------------------------------------------------
 
 
-def reduce_closed(c: ClosedDiagram, order: str = "frontier", rng=None) -> ClosedDiagram:
+def reduce_closed(c: ClosedDiagram) -> ClosedDiagram:
     """Apply moves I/II to exhaustion, then merge adjacent free loops."""
-    reduce_diagram(c, order, rng)
+    reduce_diagram(c)
     _merge_free_loops(c)
     return c
 

@@ -9,7 +9,7 @@ Two local moves:
               vertices vanish and the strands reconnect left-to-left,
               right-to-right.
 
-The redex finder, ``apply_redex`` and the worklist driver take a square
+The redex finder, ``apply_redex`` and the driver take a square
 ``StrandDiagram`` or a ``closure.ClosedDiagram``.  Two hooks on the
 diagram class are all that differ by kind:
 
@@ -23,13 +23,20 @@ diagram class are all that differ by kind:
                        the closed splice concatenates cut lists and turns
                        a strand that closes up on itself into a free loop.
 
-``reduce_diagram`` runs the frontier worklist by default: find all
-currently reducible vertices, fire those moves, then re-examine only
-vertices adjacent to the rewiring, until no redex remains.  Total work
-is linear in practice; per-round sizes are exposed for measurement.
-``order="random"`` fires redexes in random order, purely so tests can
-exercise confluence.  ``cascade`` fires the moves reachable from one
-vertex: it is how ``words.reduced_diagram`` reduces after each letter.
+``reduce_diagram`` sweeps the vertex ids in order and runs ``cascade``
+at every vertex that tops a redex.  ``cascade`` fires the moves
+reachable from one vertex; ``words.reduced_diagram`` runs it after each
+letter it appends.  When the sweep leaves vertex u, no vertex at or
+below u tops a redex: a move creates one only at a tail that ``splice``
+returns, and ``cascade`` examines every such tail.  So one sweep reduces
+the diagram, and ``_redex_at`` runs at most |V| + 3·moves <= 2.5·|V|
+times:
+
+    one call per swept vertex                          |V|
+    one per cascade root; each root fires a move        moves
+    one per tail queued, at most two per move           2·moves
+
+and moves <= |V|/2, as each move removes two vertices.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ class Redex:
 
 @dataclass
 class ReductionStats:
-    """Per-round frontier sizes: (vertices removed, candidates examined)."""
+    """One entry per reduction: (vertices removed, vertices swept)."""
 
     rounds: list[tuple[int, int]] = field(default_factory=list)
     moves: int = 0
@@ -96,27 +103,21 @@ def _redex_at(g, u: int):
     return None
 
 
-def _scan(g, candidates) -> list[tuple[int, int, str]]:
-    """(top, bottom, type) of every redex topped by a live candidate."""
-    kind = g.kind
-    pairs = []
-    for u in candidates:
-        if kind[u] != DEAD:
-            hit = _redex_at(g, u)
-            if hit is not None:
-                pairs.append((u, hit[1], hit[0]))
-    return pairs
-
-
 def find_redexes(g) -> list[Redex]:
     """All current redexes, ordered by top vertex id."""
-    return [Redex(t, u, v) for u, v, t in _scan(g, range(len(g.kind)))]
+    redexes = []
+    for u in range(len(g.kind)):
+        hit = _redex_at(g, u)
+        if hit is not None:
+            redexes.append(Redex(hit[0], u, hit[1]))
+    return redexes
 
 
 def apply_redex(g, r: Redex):
     """Fire one redex in place; raises StaleRedex if it is no longer valid."""
     kind = g.kind
-    if r.top >= len(kind) or kind[r.top] == DEAD or kind[r.bottom] == DEAD:
+    n = len(kind)
+    if not (0 <= r.top < n and 0 <= r.bottom < n) or DEAD in (kind[r.top], kind[r.bottom]):
         raise StaleRedex(f"redex {r} references removed vertices")
     if _redex_at(g, r.top) != (r.kind, r.bottom):
         raise StaleRedex(f"redex {r} no longer matches the diagram")
@@ -127,13 +128,19 @@ def apply_redex(g, r: Redex):
 def cascade(g, u: int, trace: list | None = None) -> int:
     """Fire the redex topped by vertex u, if any, and every redex that the
     moves create, which is topped by a tail that ``splice`` returns;
-    returns the number of moves."""
+    returns the number of moves.
+
+    The tails are examined first in, first out.  On a closed diagram each
+    type II move copies its middle edge's cuts onto two lanes and a type I
+    move drops one copy; last in, first out would run the copying moves
+    far ahead of the dropping ones and hold 13x more cut positions at
+    once on a padded V block pair.
+    """
     kind = g.kind
     splice = g.splice
     moves = 0
-    stack = [u]
-    while stack:
-        u = stack.pop()
+    queue = [u]
+    for u in queue:
         hit = _redex_at(g, u) if kind[u] != DEAD else None
         if hit is not None:
             t, v = hit
@@ -142,68 +149,27 @@ def cascade(g, u: int, trace: list | None = None) -> int:
             moves += 1
             for a in splice(t, u, v):
                 if a >= 0:
-                    stack.append(a // 3)
+                    queue.append(a // 3)
     return moves
 
 
-def reduce_diagram(
-    g,
-    order: str = "frontier",
-    rng=None,
-    stats: ReductionStats | None = None,
-    trace: list | None = None,
-):
+def reduce_diagram(g, stats: ReductionStats | None = None, trace: list | None = None):
     """Reduce ``g`` in place until no redex remains; returns ``g``.
 
-    ``order="frontier"`` is the deterministic worklist (lowest top id
-    first inside a round) and fills ``stats``, one entry per round, the
-    first round's scan of every vertex included.  ``order="random"``
-    needs an ``rng``, fires redexes in random order and has no rounds,
-    so it refuses ``stats``.  ``trace`` collects the fired moves as
-    (type, top, bottom).
+    One sweep over the vertex ids runs ``cascade`` at every redex top
+    (module docstring).  ``stats`` gains one entry, (vertices removed,
+    vertices swept); ``trace`` collects the fired moves as (type, top,
+    bottom).
     """
-    if order not in ("frontier", "random"):
-        raise ValueError(f"unknown reduction order {order!r}")
-    if order == "random" and stats is not None:
-        raise ValueError("order='random' has no rounds to record in stats")
-    kind = g.kind
-    splice = g.splice
-    if order == "random":
-        pairs = _scan(g, range(len(kind)))
-        while pairs:
-            i = rng.randrange(len(pairs))
-            pairs[i], pairs[-1] = pairs[-1], pairs[i]
-            u, v, t = pairs.pop()
-            if kind[u] == DEAD or kind[v] == DEAD or _redex_at(g, u) != (t, v):
-                continue
-            if trace is not None:
-                trace.append((t, u, v))
-            for a in splice(t, u, v):
-                if a >= 0:
-                    pairs.extend(_scan(g, (a // 3,)))
-        return g
-
-    candidates = range(len(kind))
-    while True:
-        removed = 0
-        touched = []
-        # the first redex of a round always fires, so a round that
-        # removes nothing found nothing
-        for u, v, t in _scan(g, candidates):
-            if kind[u] == DEAD or kind[v] == DEAD or _redex_at(g, u) != (t, v):
-                continue
-            if trace is not None:
-                trace.append((t, u, v))
-            for a in splice(t, u, v):
-                if a >= 0:
-                    touched.append(a // 3)
-            removed += 2
-        if stats is not None:
-            stats.rounds.append((removed, len(candidates)))
-            stats.moves += removed // 2
-        if not removed:
-            return g
-        candidates = sorted(set(w for w in touched if kind[w] != DEAD))
+    moves = 0
+    swept = len(g.kind)
+    for u in range(swept):
+        if _redex_at(g, u) is not None:
+            moves += cascade(g, u, trace)
+    if stats is not None:
+        stats.rounds.append((2 * moves, swept))
+        stats.moves += moves
+    return g
 
 
 # -- cutting a reduced (1,1)-diagram back into a tree pair -------------------

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from strandgroups.closure import ClosedDiagram
+from strandgroups.diagram import DEAD
+from strandgroups.rewrite import _redex_at, find_redexes
 from strandgroups.trees import LEAF, TreePair
 
 
@@ -51,3 +53,22 @@ def permute_vertices(c: ClosedDiagram, rng) -> ClosedDiagram:
     out.long = {3 * perm[h // 3] + h % 3: w for h, w in c.long.items()}
     out.free_loops = [type(f)(list(f.cuts), f.long) for f in c.free_loops]
     return out
+
+
+def reduce_random(g, rng):
+    """Reduce a square or closed diagram in place, firing its redexes in
+    random order; the confluence reference for ``reduce_diagram``.  A
+    closed diagram still needs ``reduce_closed`` for its free loops."""
+    kind = g.kind
+    pairs = [(r.top, r.bottom, r.kind) for r in find_redexes(g)]
+    while pairs:
+        i = rng.randrange(len(pairs))
+        pairs[i], pairs[-1] = pairs[-1], pairs[i]
+        u, v, t = pairs.pop()
+        if kind[u] == DEAD or kind[v] == DEAD or _redex_at(g, u) != (t, v):
+            continue
+        for a in g.splice(t, u, v):
+            hit = _redex_at(g, a // 3) if a >= 0 else None
+            if hit is not None:
+                pairs.append((a // 3, hit[1], hit[0]))
+    return g

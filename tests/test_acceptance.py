@@ -25,6 +25,8 @@ from strandgroups.toral import canonical_toral, dehn_twist, is_conjugate_t, rota
 from strandgroups.vgroup import canonical_abstract, cohomology_equivalent, is_conjugate_v
 from strandgroups.words import Generator, Word, parse_word, random_word, reduced_diagram, word_to_diagram
 
+from conftest import reduce_random
+
 _ANNULAR_REGISTRY = []
 
 
@@ -42,9 +44,9 @@ def test_criterion_1_unique_normal_form():
     for _ in range(500):
         w = random_word("F", rng.randrange(0, 41), rng)
         d1 = word_to_diagram(w)
-        reduce_diagram(d1, order="frontier")
+        reduce_diagram(d1)
         d2 = word_to_diagram(w)
-        reduce_diagram(d2, order="random", rng=rng)
+        reduce_random(d2, rng)
         assert encode_square(d1) == encode_square(d2)
         _register_annular(w)
     elapsed = time.perf_counter() - t0
@@ -330,14 +332,16 @@ def test_criterion_9_empirical_linear_reduction():
     finally:
         gc.enable()
     times = {n: tuple(min(s[i] for s in samples[n]) for i in range(4)) for n in sizes}
+    ratios = []
     for small, big in ((10**3, 10**4), (10**4, 10**5), (10**5, 10**6)):
         for step in range(4):
             ratio = times[big][step] / max(times[small][step], 1e-9)
             assert ratio <= 15.0, f"step {step}: time({big})/time({small}) = {ratio:.1f}; {times}"
+            ratios.append(f"{ratio:.1f}")
     total = times[10**6][2]
     assert total < 60.0, f"N=10^6 took {total:.1f}s"
     rows = ", ".join(f"10^{len(str(n)) - 1}: {t[2]:.2f}s (streamed {t[3]:.2f}s)" for n, t in times.items())
-    print(f"ACCEPTANCE 9 (linear reduction): PASS — {rows}")
+    print(f"ACCEPTANCE 9 (linear reduction): PASS — {rows}; ratios per decade, steps 0-3: {' '.join(ratios)}")
 
 
 def _t(w: Word) -> Word:

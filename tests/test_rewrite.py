@@ -11,6 +11,7 @@ from strandgroups.diagram import (
     sink_code,
     source_code,
 )
+from strandgroups import rewrite
 from strandgroups.errors import NotReduced, StaleRedex
 from strandgroups.oracle import equals_identity, minimize, treepair_to_map, word_to_map
 from strandgroups.rewrite import (
@@ -23,9 +24,9 @@ from strandgroups.rewrite import (
     to_tree_pair,
 )
 from strandgroups.trees import LEAF, TreePair, antichain, comb, identity_pair
-from strandgroups.words import GENERATOR_PAIRS, parse_word, random_word, word_to_diagram
+from strandgroups.words import GENERATOR_PAIRS, parse_word, random_word, reduced_diagram, word_to_diagram
 
-from conftest import random_tree_pair
+from conftest import random_tree_pair, reduce_random
 
 
 def _split_merge(crossed: bool) -> StrandDiagram:
@@ -112,6 +113,18 @@ def test_stale_redex_raises():
         apply_redex(_split_merge(crossed=False), Redex("II", 0, 1))
 
 
+def test_redex_ids_outside_the_arrays_are_stale():
+    # a redex found before ``compact`` can name ids past the arrays; a
+    # negative id would index the arrays from the end
+    d = word_to_diagram(parse_word("x0 x0^-1"))
+    r = find_redexes(d)[0]
+    n = len(d.kind)
+    for top, bottom in ((r.top, n + 3), (n, r.bottom), (r.top, r.bottom - n), (r.top - n, r.bottom)):
+        with pytest.raises(StaleRedex):
+            apply_redex(d, Redex(r.kind, top, bottom))
+    apply_redex(d, r)
+
+
 def test_closed_stale_redex_raises():
     c = close_annular(word_to_diagram(parse_word("x0 x0^-1")))
     r = find_redexes(c)[0]
@@ -132,7 +145,7 @@ def test_confluence_frontier_vs_random(rng):
         d1 = word_to_diagram(w)
         reduce_diagram(d1)
         d2 = word_to_diagram(w)
-        reduce_diagram(d2, order="random", rng=rng)
+        reduce_random(d2, rng)
         assert encode_square(d1) == encode_square(d2)
         assert find_redexes(d1) == []
 
@@ -183,10 +196,34 @@ def test_stats_record_the_first_round_on_reduced_input():
     assert stats.examined_total == len(d.kind) > 0 and stats.moves == 0
 
 
-def test_random_order_refuses_stats(rng):
-    d = word_to_diagram(parse_word("x0 x0^-1"))
-    with pytest.raises(ValueError):
-        reduce_diagram(d, order="random", rng=rng, stats=ReductionStats())
+@pytest.mark.parametrize(
+    "group, close",
+    [("F", close_annular), ("T", lambda d: close_cylindrical(d, 0)), ("V", close_abstract)],
+)
+def test_redex_checks_are_linear_in_the_input(monkeypatch, rng, group, close):
+    # the sweep examines each vertex once, each cascade root once more and
+    # at most two tails per move; the streamed builder one tail per letter
+    calls = [0]
+    redex_at = rewrite._redex_at
+
+    def counted(g, u):
+        calls[0] += 1
+        return redex_at(g, u)
+
+    monkeypatch.setattr(rewrite, "_redex_at", counted)
+    for _ in range(30):
+        w = random_word(group, rng.randrange(0, 400), rng)
+        for g in (word_to_diagram(w), close(word_to_diagram(w))):
+            n = len(g.kind)
+            stats = ReductionStats()
+            calls[0] = 0
+            reduce_diagram(g, stats=stats)
+            assert calls[0] <= n + 3 * stats.moves
+            assert find_redexes(g) == []
+        trace = []
+        calls[0] = 0
+        reduced_diagram(w, w.inverse(), trace=trace)
+        assert calls[0] <= 2 * len(w.letters) + 2 * len(trace)
 
 
 def test_trace_records_moves():
@@ -229,8 +266,8 @@ def test_to_tree_pair_roundtrip(rng):
 
 
 def test_deep_tree_pairs_roundtrip():
-    # 5,000 levels, far past the interpreter's recursion limit
-    n = 5000
+    # 10^4 levels, far past the interpreter's recursion limit
+    n = 10**4
     left_comb = LEAF
     for _ in range(n - 1):
         left_comb = (left_comb, LEAF)

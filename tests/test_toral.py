@@ -27,7 +27,7 @@ from strandgroups.toral import (
 )
 from strandgroups.words import Word, parse_word, random_word, word_to_diagram
 
-from conftest import permute_vertices
+from conftest import permute_vertices, reduce_random
 
 
 def _identity_k(k):
@@ -206,7 +206,7 @@ def test_toral_confluence(rng):
         reduce_diagram(d1)
         t1 = reduce_closed(close_cylindrical(d1, 0))
         d2 = word_to_diagram(w)
-        t2 = reduce_closed(close_cylindrical(d2, 0), order="random", rng=rng)
+        t2 = reduce_closed(reduce_random(close_cylindrical(d2, 0), rng))
         assert canonical_toral(t1) == canonical_toral(t2)
 
 

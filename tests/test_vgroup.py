@@ -28,6 +28,8 @@ from strandgroups.vgroup import (
 )
 from strandgroups.words import Word, parse_word, random_word, word_to_diagram
 
+from conftest import reduce_random
+
 
 def test_close_identity():
     c = close_abstract(word_to_diagram(Word("V", ())))
@@ -182,7 +184,7 @@ def test_frontier_and_random_give_one_form(rng):
     for _ in range(150):
         w = random_word("V", rng.randrange(0, 30), rng)
         c1 = reduce_closed(close_abstract(reduce_diagram(word_to_diagram(w))))
-        c2 = reduce_closed(close_abstract(word_to_diagram(w)), order="random", rng=rng)
+        c2 = reduce_closed(reduce_random(close_abstract(word_to_diagram(w)), rng))
         assert canonical_abstract(c1) == canonical_abstract(c2)
 
 
