@@ -9,6 +9,9 @@ Verbs:
     export  --format dot|json      serialized reduced diagram
     bench   reduce --lengths ...   linear-reduction measurements
 
+A word argument may be ``@path`` (read a file) or ``-`` (read stdin, for
+one word only); Linux caps one exec argument at 128 KiB, ~3x10^4 letters.
+
 Exit codes: 0 ok, 1 internal invariant violation (a bug), 2 user error.
 """
 
@@ -133,6 +136,20 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _word_text(arg: str) -> str:
+    """A word argument as text: ``-`` reads standard input and ``@path``
+    reads the file at path; anything else is the word itself."""
+    if arg == "-":
+        return sys.stdin.read()
+    if arg.startswith("@"):
+        try:
+            with open(arg[1:], encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(f"cannot read {arg[1:]!r}: {exc.strerror}") from exc
+    return arg
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="strandgroups")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -140,48 +157,48 @@ def build_parser() -> argparse.ArgumentParser:
     def add_group(sp):
         sp.add_argument("-g", "--group", choices=("F", "T", "V"), default="F")
 
+    def add_words(sp, *names):
+        for name in names:
+            sp.add_argument(name, type=_word_text, help="a word, @path or - (stdin)")
+
     sp = sub.add_parser("reduce", help="reduce a word's strand diagram")
     add_group(sp)
-    sp.add_argument("word")
+    add_words(sp, "word")
     sp.add_argument("--emit-canon", action="store_true")
     sp.add_argument("--trace", action="store_true", help="print (kind, top, bottom) per move")
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("eq", help="word problem")
     add_group(sp)
-    sp.add_argument("word1")
-    sp.add_argument("word2")
+    add_words(sp, "word1", "word2")
     sp.set_defaults(func=_cmd_eq)
 
     sp = sub.add_parser("conj", help="conjugacy problem")
     add_group(sp)
-    sp.add_argument("word1")
-    sp.add_argument("word2")
+    add_words(sp, "word1", "word2")
     sp.set_defaults(func=_cmd_conj)
 
     sp = sub.add_parser("rotnum", help="rotation number of a T word")
-    sp.add_argument("word")
+    add_words(sp, "word")
     sp.set_defaults(func=_cmd_rotnum)
 
     sp = sub.add_parser("oracle", help="exact prefix-map oracle")
     osub = sp.add_subparsers(dest="oracle_verb", required=True)
     oe = osub.add_parser("eq")
     add_group(oe)
-    oe.add_argument("word1")
-    oe.add_argument("word2")
+    add_words(oe, "word1", "word2")
     oe.set_defaults(func=_cmd_oracle)
     oc = osub.add_parser("conj")
     add_group(oc)
     oc.add_argument("--max-len", type=int, default=6)
-    oc.add_argument("word1")
-    oc.add_argument("word2")
+    add_words(oc, "word1", "word2")
     oc.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("export", help="serialize a reduced diagram")
     add_group(sp)
     sp.add_argument("--format", choices=("dot", "json"), default="json")
     sp.add_argument("--stage", choices=("square", "closed"), default="square")
-    sp.add_argument("word")
+    add_words(sp, "word")
     sp.set_defaults(func=_cmd_export)
 
     sp = sub.add_parser("bench", help="reduction scaling measurements")

@@ -7,6 +7,11 @@ the cutting sequence; their positions survive rewriting as
 order-comparable tuples, which is how radial (annular) and cyclic
 (toral) ring order is recovered without storing any geometry.
 
+Positions are read in one place: ``cutting_sequence`` sorts them, and
+the type III merge and ``Structure.rings`` take their order from it.
+The rings record the owner of every cut in that order, which is all
+the toral form needs; every other reader counts cuts.
+
 Per edge we keep:
 
     cuts : ordered list of cut positions (crossings with the ray); the
@@ -14,11 +19,12 @@ Per edge we keep:
     long : crossings with the longitudinal line (toral mode only).
 
 Moves I and II run on the shared core of ``rewrite``; the closed half
-of a move is ``ClosedDiagram.splice``.  Spliced cut lists concatenate
-along the surviving strand, and the kept strand of a type I bigon
-inherits the left edge's cuts: the disc between the edges is empty, so
-the global cut order is preserved.  A strand that closes up on itself
-becomes a free loop.  Type III (merging two free loops) runs after
+of a move is ``ClosedDiagram.splice``, which walks each strand through
+the move's lanes once.  Spliced cut lists concatenate along the
+surviving strand, and the kept strand of a type I bigon inherits the
+left edge's cuts: the disc between the edges is empty, so the global
+cut order is preserved.  A strand that closes up on itself becomes a
+free loop.  Type III (merging two free loops) runs after
 moves I/II are exhausted, merging loops of equal class that are
 adjacent in the recovered ring order.
 
@@ -100,74 +106,52 @@ class ClosedDiagram:
         conn = self.conn
         cuts = self.cuts
         long = self.long
+        # lane entry -> (lane exit, the lane's own cuts, its wraps)
         if t == TYPE_I:
-            lane_cuts = cuts.pop(3 * v, [])
             cuts.pop(3 * v + 1, None)
-            lane_lw = long.pop(3 * v, 0)
             long.pop(3 * v + 1, None)
-            lanes = [(3 * u, 3 * v + 2, lane_cuts, lane_lw)]
+            lanes = {3 * u: (3 * v + 2, cuts.pop(3 * v, []), long.pop(3 * v, 0))}
         else:
             cm = cuts.pop(3 * v, [])
             lm = long.pop(3 * v, 0)
             # the two lanes run parallel where the middle edge was; the left
             # lane is radially inner, so its cut copies sort first
-            lanes = [
-                (3 * u, 3 * v + 1, [p + (0,) for p in cm], lm),
-                (3 * u + 1, 3 * v + 2, [p + (1,) for p in cm], lm),
-            ]
-        entry_of = {lane[0]: idx for idx, lane in enumerate(lanes)}
-        exits = {lane[1] for lane in lanes}
-        consumed = [False] * len(lanes)
-        touched = []
+            lanes = {
+                3 * u: (3 * v + 1, [p + (0,) for p in cm], lm),
+                3 * u + 1: (3 * v + 2, [p + (1,) for p in cm], lm),
+            }
+        exits = {lane[0] for lane in lanes.values()}
 
-        for idx, (entry, _exit, _lc, _lw) in enumerate(lanes):
-            tail = conn[entry]
-            if tail in exits:
-                continue  # traversed mid-chain or part of a closed orbit
-            acc_cuts = list(cuts.pop(entry, ()))
-            acc_lw = long.pop(entry, 0)
-            cur = idx
-            while True:
-                consumed[cur] = True
-                acc_cuts.extend(lanes[cur][2])
-                acc_lw += lanes[cur][3]
-                head = conn[lanes[cur][1]]
-                nxt = entry_of.get(head)
-                if nxt is not None:
-                    assert not consumed[nxt], "lane chain re-entered itself"
-                    acc_cuts.extend(cuts.pop(head, ()))
-                    acc_lw += long.pop(head, 0)
-                    cur = nxt
-                    continue
-                acc_cuts.extend(cuts.pop(head, ()))
-                acc_lw += long.pop(head, 0)
-                conn[tail] = head
-                conn[head] = tail
-                if acc_cuts:
-                    cuts[head] = acc_cuts
-                if acc_lw:
-                    long[head] = acc_lw
-                touched.append(tail)
-                break
-
-        for idx in range(len(lanes)):
-            if consumed[idx]:
-                continue
-            # closed orbit through the lanes: a free loop is born
+        def walk(head):
+            """Follow the strand into ``head`` through the lanes, popping each
+            edge's cuts and wraps; returns the first head that is not a lane
+            entry left to walk, with the cuts and wraps gathered."""
             acc_cuts = []
             acc_lw = 0
-            cur = idx
-            while not consumed[cur]:
-                consumed[cur] = True
-                entry = lanes[cur][0]
-                acc_cuts.extend(cuts.pop(entry, ()))
-                acc_lw += long.pop(entry, 0)
-                acc_cuts.extend(lanes[cur][2])
-                acc_lw += lanes[cur][3]
-                head = conn[lanes[cur][1]]
-                nxt = entry_of.get(head)
-                assert nxt is not None, "open chain found in loop sweep"
-                cur = nxt
+            while True:
+                acc_cuts += cuts.pop(head, ())
+                acc_lw += long.pop(head, 0)
+                if head not in lanes:
+                    return head, acc_cuts, acc_lw
+                exit_, lane_cuts, lane_lw = lanes.pop(head)
+                acc_cuts += lane_cuts
+                acc_lw += lane_lw
+                head = conn[exit_]
+
+        touched = []
+        # an open strand enters the lanes from an edge no lane feeds
+        for entry in [e for e in lanes if conn[e] not in exits]:
+            tail = conn[entry]
+            head, acc_cuts, acc_lw = walk(entry)
+            conn[tail] = head
+            conn[head] = tail
+            if acc_cuts:
+                cuts[head] = acc_cuts
+            if acc_lw:
+                long[head] = acc_lw
+            touched.append(tail)
+        while lanes:  # the rest are closed orbits: free loops are born
+            _, acc_cuts, acc_lw = walk(next(iter(lanes)))
             self.free_loops.append(FreeLoop(acc_cuts, acc_lw))
 
         self.kind[u] = DEAD
@@ -211,6 +195,19 @@ class ClosedDiagram:
         for f in self.free_loops:
             if len(f.cuts) <= 0:
                 raise StructureViolation("free loop with nonpositive winding")
+
+
+def cutting_sequence(c: ClosedDiagram):
+    """All cut points in ray order as (position, carrier) pairs.
+
+    The carrier is the head endpoint of the cut edge, or ("loop", i)
+    for cuts sitting on free loop i.  This is the only code that
+    compares positions; every reader of the cut order goes through it.
+    """
+    out = [(p, h) for h, ps in c.cuts.items() for p in ps]
+    out += [(p, ("loop", i)) for i, f in enumerate(c.free_loops) for p in f.cuts]
+    out.sort(key=lambda x: x[0])
+    return out
 
 
 # -- closure ------------------------------------------------------------------
@@ -284,8 +281,7 @@ def close_cylindrical(d: StrandDiagram, shift: int = 0) -> ClosedDiagram:
     k = d.m
     if k == 0:
         raise ArityMismatch("empty diagram")
-    t = _close(d, TORAL, lambda i: (i + shift) % k)
-    return t
+    return _close(d, TORAL, lambda i: (i + shift) % k)
 
 
 def close_abstract(d: StrandDiagram, perm=None) -> ClosedDiagram:
@@ -314,10 +310,10 @@ def _merge_free_loops(c: ClosedDiagram) -> None:
     detected as two of their cuts being neighbours in the global cut
     order (foreign bands would have to interpose cuts everywhere).
 
-    The marks are sorted once and linked.  Each merge takes the first
-    mergeable pair in cut order (keyed by its first mark, so the torus's
-    wrap pair comes last) and unlinks the later loop's marks; only the
-    marks before them can start new pairs.
+    The cuts are read once in cut order and linked.  Each merge takes
+    the first mergeable pair in cut order (keyed by its first cut, so
+    the torus's wrap pair comes last) and unlinks the later loop's cuts;
+    only the cuts before them can start new pairs.
     """
     loops = c.free_loops
     if c.mode == CLOSED:
@@ -328,11 +324,8 @@ def _merge_free_loops(c: ClosedDiagram) -> None:
         return
     if len(loops) < 2:
         return
-    # global cut order: (position, owner), an edge's cut owned by len(loops)
-    marks = [(p, len(loops)) for ps in c.cuts.values() for p in ps]
-    marks += [(p, li) for li, f in enumerate(loops) for p in f.cuts]
-    marks.sort(key=lambda x: x[0])
-    owner = [o for _, o in marks]
+    # the owner of every cut in cut order; an edge's cut is owned by len(loops)
+    owner = [h[1] if isinstance(h, tuple) else len(loops) for _, h in cutting_sequence(c)]
     owned = [[] for _ in range(len(loops) + 1)]
     for i, o in enumerate(owner):
         owned[o].append(i)
@@ -371,12 +364,11 @@ def _merge_free_loops(c: ClosedDiagram) -> None:
 # -- structure: cycles, components, rings -------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Cycle:
     vertices: list[int]
     heads: list[int]          # head endpoints of the on-cycle edges
     pure: str | None          # "split", "merge" or None (mixed)
-    min_cut: tuple | None
     cls: tuple[int, int]      # (meridian, wrap): cut count and wrap sum
 
 
@@ -387,8 +379,6 @@ class Ring:
     cycles: list[Cycle] = field(default_factory=list)
     vertices: list[int] = field(default_factory=list)
     loop: FreeLoop | None = None
-    min_cut: tuple | None = None
-    cuts: list = field(default_factory=list)  # every cut position on the ring
 
 
 class Structure:
@@ -401,11 +391,12 @@ class Structure:
     its class, or raises StructureViolation if two cycles share a vertex.
     """
 
-    __slots__ = ("c", "cycles")
+    __slots__ = ("c", "cycles", "owners")
 
     def __init__(self, c: ClosedDiagram):
         self.c = c
         self.cycles = []
+        self.owners = []
         kind = c.kind
         conn = c.conn
         n = len(kind)
@@ -485,9 +476,9 @@ class Structure:
                 break
         kinds = {kind[v] for v in vertices}
         pure = "split" if kinds == {SPLIT} else "merge" if kinds == {MERGE} else None
-        cuts = [p for h in heads for p in c.cuts.get(h, ())]
+        weight = sum(len(c.cuts.get(h, ())) for h in heads)
         wrap = sum(c.long.get(h, 0) for h in heads)
-        return Cycle(vertices, heads, pure, min(cuts, default=None), (len(cuts), wrap))
+        return Cycle(vertices, heads, pure, (weight, wrap))
 
     def check_cycles(self) -> None:
         """Every directed cycle is pure with positive winding, and so is
@@ -505,27 +496,35 @@ class Structure:
 
     def rings(self) -> list[Ring]:
         """Rings ordered radially (annular) or cyclically from the first cut
-        (toral), each component's cycles in cut order.  Needs a reduced
-        diagram."""
+        (toral), each component's cycles too: both by where their first
+        cut comes in ``cutting_sequence``.  Records in ``owners`` the
+        (ring index, cycle or None) of every cut, in that order; None
+        marks a cut off the cycles.  Needs a reduced diagram, whose every
+        ring carries a cut."""
         c = self.c
         comps, label = _components(c)
-        cuts = [[] for _ in comps]
-        for h, ps in c.cuts.items():
-            cuts[label[h // 3]].extend(ps)
-        comp_cycles = [[] for _ in comps]
-        for cyc in self.cycles:
-            comp_cycles[label[cyc.vertices[0]]].append(cyc)
+        cycle_at = {h: cyc for cyc in self.cycles for h in cyc.heads}
+        # every component, then every free loop, indexed once its first cut comes
+        found = [Ring("component", -1, vertices=comp) for comp in comps]
+        found += [Ring("free", -1, loop=f) for f in c.free_loops]
         rings = []
-        for comp, cycs, ps in zip(comps, comp_cycles, cuts):
-            if len(cycs) < 2:  # reduced: a split loop feeds a merge loop
-                raise StructureViolation(f"component {comp} has {len(cycs)} directed cycles")
-            cycs.sort(key=lambda cy: cy.min_cut)
-            rings.append(Ring("component", -1, cycs, comp, min_cut=min(ps), cuts=ps))
-        for f in c.free_loops:
-            rings.append(Ring("free", -1, loop=f, min_cut=min(f.cuts), cuts=f.cuts))
-        rings.sort(key=lambda r: r.min_cut)
-        for i, r in enumerate(rings):
-            r.radial_index = i
+        placed = set()
+        self.owners = []
+        for _, h in cutting_sequence(c):
+            ring = found[len(comps) + h[1] if isinstance(h, tuple) else label[h // 3]]
+            if ring.radial_index < 0:
+                ring.radial_index = len(rings)
+                rings.append(ring)
+            cyc = cycle_at.get(h)
+            if cyc is not None and cyc not in placed:
+                placed.add(cyc)
+                ring.cycles.append(cyc)
+            self.owners.append((ring.radial_index, cyc))
+        for ring in found[: len(comps)]:  # reduced: a split loop feeds a merge loop
+            if len(ring.cycles) < 2:
+                raise StructureViolation(
+                    f"component {ring.vertices} has {len(ring.cycles)} directed cycles"
+                )
         return rings
 
     def checked_rings(self) -> list[Ring]:
@@ -632,20 +631,3 @@ def check_cycle_structure(c: ClosedDiagram) -> list[Ring]:
     s.check_cycles()
     _require_reduced(c)
     return s.checked_rings()
-
-
-def cutting_sequence(c: ClosedDiagram):
-    """All cut points in ray order as (position, carrier) pairs.
-
-    The carrier is the head endpoint of the cut edge, or ("loop", i)
-    for cuts sitting on free loop i.
-    """
-    out = []
-    for h, ps in c.cuts.items():
-        for p in ps:
-            out.append((p, h))
-    for i, f in enumerate(c.free_loops):
-        for p in f.cuts:
-            out.append((p, ("loop", i)))
-    out.sort(key=lambda x: x[0])
-    return out

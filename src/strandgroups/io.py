@@ -102,14 +102,9 @@ def closed_to_json(c: ClosedDiagram) -> dict:
     weight_key = "c" if c.mode == CLOSED else "crossingWeight"
     edges = []
     for tail, head in c.edges():
-        tv, ts = divmod(tail, 3)
-        hv, hs = divmod(head, 3)
         rec = {
-            "from": {
-                "vertex": renum[tv],
-                "port": ts - 1 if c.kind[tv] == SPLIT else 0,
-            },
-            "to": {"vertex": renum[hv], "port": hs if c.kind[hv] == MERGE else 0},
+            "from": _endpoint_obj(c, tail, renum, "from"),
+            "to": _endpoint_obj(c, head, renum, "to"),
             weight_key: len(c.cuts.get(head, ())),
         }
         if c.mode == TORAL:
@@ -136,11 +131,16 @@ def to_json_text(obj: dict) -> str:
 _SHAPES = {SPLIT: "triangle", MERGE: "invtriangle"}
 
 
+def _dot_vertices(d, lines: list) -> dict:
+    """Append one DOT line per live vertex; returns the renumbering."""
+    renum = {v: i for i, v in enumerate(d.live_vertices())}
+    lines += [f'  v{i} [shape={_SHAPES[d.kind[v]]} label="{i}"];' for v, i in renum.items()]
+    return renum
+
+
 def square_to_dot(d: StrandDiagram) -> str:
     lines = ["digraph strand {", "  rankdir=TB;"]
-    renum = {v: i for i, v in enumerate(d.live_vertices())}
-    for v, i in renum.items():
-        lines.append(f'  v{i} [shape={_SHAPES[d.kind[v]]} label="{i}"];')
+    renum = _dot_vertices(d, lines)
     for i in range(d.m):
         lines.append(f'  src{i} [shape=point xlabel="in{i}"];')
     for i in range(d.n):
@@ -166,9 +166,7 @@ def closed_to_dot(c: ClosedDiagram) -> str:
     """Splits as triangles, merges as inverted triangles; edge labels
     carry the reference-ray crossing counts (and wraps on the torus)."""
     lines = ["digraph closed {"]
-    renum = {v: i for i, v in enumerate(c.live_vertices())}
-    for v, i in renum.items():
-        lines.append(f'  v{i} [shape={_SHAPES[c.kind[v]]} label="{i}"];')
+    renum = _dot_vertices(c, lines)
     for tail, head in c.edges():
         mw = len(c.cuts.get(head, ()))
         lw = c.long.get(head, 0)

@@ -177,20 +177,25 @@ def image_of_zero(m: PrefixMap) -> str:
 # -- words from maps ----------------------------------------------------------
 
 
-def _shift(indices: list[int]) -> list[int]:
-    return [i + 1 for i in indices]
-
-
 def _posword_indices(t) -> list[int]:
-    """Indices i1, i2, ... with x_{i1} x_{i2} ... mapping tree t to the comb."""
-    if t is None:
-        return []
-    left, right = t
-    out = _shift(_posword_indices(right))
-    if left is not None:
-        ll, lr = left
-        out.append(0)
-        out.extend(_posword_indices((ll, (lr, comb(num_leaves(right))))))
+    """Indices i1, i2, ... with x_{i1} x_{i2} ... mapping tree t to the comb.
+
+    At (left, right): comb ``right`` with every index one higher; then,
+    if left = (ll, lr), index 0 rotates to (ll, (lr, comb)), combed in
+    turn.  An explicit stack holds the pending work, so no tree is too deep."""
+    out = []
+    stack = [(t, 0)]  # (tree, index offset) to comb, or an index to emit
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            out.append(item)
+        elif item[0] is not None:
+            (left, right), shift = item
+            if left is not None:
+                ll, lr = left
+                stack.append(((ll, (lr, comb(num_leaves(right)))), shift))
+                stack.append(shift)
+            stack.append((right, shift + 1))
     return out
 
 

@@ -26,7 +26,9 @@ skipped, so t tied roots cost O(log t) traversals, not t (w^32 of a
 100-letter word: 64 tied roots, 3 traversals).  The structure comes
 from one ``closure.reduced_structure`` per form, which gates on
 reduction once; the normalization, the structure check and the ring
-order all read its cycles and rings.
+order all read its cycles and rings.  The cyclic order comes from the
+rings' record of which ring and cycle own each cut, in cut order, so
+this module reads cut counts and never a cut position.
 """
 
 from __future__ import annotations
@@ -141,25 +143,25 @@ def is_conjugate_t(w1: Word, w2: Word) -> bool:
 # -- cyclic canonical form ----------------------------------------------------
 
 
-def _cyclic_units(n: int, rings: list[Ring]):
-    """Rings in cyclic order with per-unit cut runs.
+def _cyclic_units(n: int, rings: list[Ring], owners):
+    """Rings in cyclic order, each with the first cycle its cuts meet.
 
-    Returns a list of (ring, run_positions) in cyclic order starting at
-    the run containing the globally smallest cut.  Validates that the
-    owner pattern is (unit_1 ... unit_p)^n; every ring owns a cut, so a
-    pattern that repeats names each ring exactly once.
+    ``owners`` is ``Structure.owners``: the (ring index, cycle or None)
+    of every cut in cut order.  Returns a list of (ring, first cycle) in
+    cyclic order starting at the run that holds the first cut; the first
+    cycle is the one the run's cuts meet first, or None.  Validates that
+    the owner pattern is (unit_1 ... unit_p)^n; every ring owns a cut, so
+    a pattern that repeats names each ring exactly once.
     """
-    owner = {p: idx for idx, ring in enumerate(rings) for p in ring.cuts}
-    runs = []  # (ring index, [positions])
-    for p in sorted(owner):
-        o = owner[p]
+    runs = []  # [ring index, first cycle of the run's cuts or None]
+    for o, cyc in owners:
         if runs and runs[-1][0] == o:
-            runs[-1][1].append(p)
+            runs[-1][1] = runs[-1][1] or cyc
         else:
-            runs.append((o, [p]))
+            runs.append([o, cyc])
     if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        last = runs.pop()
-        runs[0] = (runs[0][0], last[1] + runs[0][1])
+        last = runs.pop()  # the run across the wrap starts with these cuts
+        runs[0][1] = last[1] or runs[0][1]
     p_units = len(rings)
     # a single unit's runs all collapse into one; anything else tiles n times
     single_collapsed = p_units == 1 and len(runs) == 1
@@ -174,17 +176,6 @@ def _cyclic_units(n: int, rings: list[Ring]):
     return [(rings[o], runs[i][1]) for i, o in enumerate(pattern)]
 
 
-def _unit_roots(t: ClosedDiagram, ring: Ring, run, whole: bool) -> list[int]:
-    if whole:
-        return [v for cyc in ring.cycles for v in cyc.vertices]
-    # the first cycle in this unit's run order
-    cycle_of = {p: cyc for cyc in ring.cycles for h in cyc.heads for p in t.cuts.get(h, ())}
-    first = next((cycle_of[p] for p in run if p in cycle_of), None)
-    if first is None:
-        raise StructureViolation("component cycle carries no cut")
-    return first.vertices
-
-
 def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
     """Byte encoding of a reduced toral diagram up to the Dehn convention.
 
@@ -196,15 +187,19 @@ def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
     s = reduced_structure(t)
     n, k = _normalize(t, s.cycles)
     # the ring clauses read classes modulo n, which the twist preserves
-    units = _cyclic_units(n, s.checked_rings())
-    whole = len(units) == 1
+    units = _cyclic_units(n, s.checked_rings(), s.owners)
     encodings = []
-    for ring, run in units:
+    for ring, first in units:
         if ring.kind == "free":
             encodings.append(b"F")
+            continue
+        if len(units) == 1:  # a lone unit: every cycle vertex is a root
+            roots = [v for cyc in ring.cycles for v in cyc.vertices]
+        elif first is None:
+            raise StructureViolation("component cycle carries no cut")
         else:
-            roots = _unit_roots(t, ring, run, whole)
-            encodings.append(min_encoding(t, roots, with_weights=True))
+            roots = first.vertices
+        encodings.append(min_encoding(t, roots, with_weights=True))
     pattern = tuple(1 if ring.kind == "free" else 0 for ring, _ in units)
     # the class check leaves at least one unit
     rotations = [

@@ -6,7 +6,9 @@ from strandgroups.closure import (
     ClosedDiagram,
     FreeLoop,
     check_cycle_structure,
+    close_abstract,
     close_annular,
+    close_cylindrical,
     cutting_sequence,
     reduce_closed,
     ring_decomposition,
@@ -183,14 +185,18 @@ def test_positivity_after_close_and_reduce(rng):
 
 
 def test_cutting_sequence_is_cochain(rng):
-    for _ in range(50):
-        w = random_word("F", rng.randrange(0, 10), rng)
-        a = reduce_closed(close_annular(word_to_diagram(w)))
-        seq = cutting_sequence(a)
-        counts = {}
-        for _pos, carrier in seq:
-            counts[carrier] = counts.get(carrier, 0) + 1
-        for h, ps in a.cuts.items():
-            assert counts.get(h, 0) == len(ps)
-        positions = [p for p, _ in seq]
-        assert positions == sorted(positions)
+    for group, close in (("F", close_annular), ("T", close_cylindrical), ("V", close_abstract)):
+        for _ in range(50):
+            w = random_word(group, rng.randrange(0, 10), rng)
+            a = reduce_closed(close(word_to_diagram(w)))
+            seq = cutting_sequence(a)
+            counts = {}
+            for _pos, carrier in seq:
+                counts[carrier] = counts.get(carrier, 0) + 1
+            for h, ps in a.cuts.items():
+                assert counts.get(h, 0) == len(ps)
+            for i, f in enumerate(a.free_loops):
+                assert counts.get(("loop", i), 0) == len(f.cuts)
+            # every reader of the cut order needs it total: no two cuts tie
+            positions = [p for p, _ in seq]
+            assert all(p < q for p, q in zip(positions, positions[1:])), group

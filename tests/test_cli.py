@@ -1,8 +1,18 @@
 """CLI verbs, outputs and exit codes."""
 
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import strandgroups
 from strandgroups.cli import main
+from strandgroups.words import random_word, word_to_text
 
 
 def run(capsys, *argv):
@@ -118,3 +128,51 @@ def test_conj_dispatch_t_v(capsys):
     assert code == 0 and out == "true"
     code, out, _ = run(capsys, "conj", "-g", "V", "pi0", "x0^-1 pi0 x0")
     assert code == 0 and out == "true"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--emit-canon", "W"),
+        ("eq", "W", "x0 x1"),
+        ("conj", "-g", "T", "x1", "W"),
+        ("rotnum", "W"),
+        ("oracle", "eq", "W", "x1"),
+        ("oracle", "conj", "--max-len", "1", "x1", "W"),
+        ("export", "--stage", "closed", "W"),
+    ],
+)
+def test_word_arguments_read_files_and_stdin(capsys, tmp_path, monkeypatch, argv):
+    word = "x0^-1 x1 x0"
+    path = tmp_path / "word.txt"
+    path.write_text(word + "\n")
+    want = run(capsys, *(word if a == "W" else a for a in argv))
+    assert want[0] == 0
+    assert run(capsys, *(f"@{path}" if a == "W" else a for a in argv)) == want
+    monkeypatch.setattr(sys, "stdin", io.StringIO(word))
+    assert run(capsys, *("-" if a == "W" else a for a in argv)) == want
+
+
+def test_unreadable_word_file_is_a_user_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["rotnum", f"@{tmp_path / 'missing.txt'}"])
+    assert exc.value.code == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_long_word_from_a_file_and_stdin_in_a_subprocess(tmp_path):
+    word = word_to_text(random_word("F", 10**5, random.Random(5)))
+    assert len(word.encode()) > 128 * 1024  # more than one exec argument may hold
+    path = tmp_path / "word.txt"
+    path.write_text(word)
+    src = str(Path(strandgroups.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strandgroups.cli", "eq", f"@{path}", "-"],
+        input=word,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "true"), proc.stderr

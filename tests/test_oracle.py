@@ -1,9 +1,13 @@
 """Prefix-map oracle: composition, minimization, words from maps, witness search."""
 
+import random
+import sys
+
 import pytest
 
 from strandgroups.oracle import (
     PrefixMap,
+    _posword_indices,
     brute_conj_witness,
     compose,
     equals_identity,
@@ -15,7 +19,10 @@ from strandgroups.oracle import (
     word_from_map_t,
     word_to_map,
 )
+from strandgroups.trees import LEAF, comb, num_leaves
 from strandgroups.words import Generator, Word, commutator, parse_word, random_word, word_to_text
+
+from conftest import random_tree
 
 
 def test_generator_conventions():
@@ -68,6 +75,43 @@ def test_word_from_map_f_roundtrip(rng):
         w = random_word("F", rng.randrange(0, 12), rng)
         m = word_to_map(w)
         assert word_to_map(word_from_map_f(m)) == m
+
+
+def _posword_indices_recursive(t):
+    """The recursive form of ``_posword_indices``: the reference."""
+    if t is None:
+        return []
+    left, right = t
+    out = [i + 1 for i in _posword_indices_recursive(right)]
+    if left is not None:
+        ll, lr = left
+        out.append(0)
+        out.extend(_posword_indices_recursive((ll, (lr, comb(num_leaves(right))))))
+    return out
+
+
+def _random_spine(rng, depth):
+    """A tree of the given depth: each level hangs a leaf or a caret on
+    the left or the right of the levels below it."""
+    t = LEAF
+    for _ in range(depth):
+        side = LEAF if rng.random() < 0.8 else (LEAF, LEAF)
+        t = (t, side) if rng.random() < 0.5 else (side, t)
+    return t
+
+
+def test_posword_indices_match_the_recursive_reference():
+    rng = random.Random(7)
+    trees = [random_tree(rng, rng.randrange(1, 60)) for _ in range(300)]
+    trees += [_random_spine(rng, depth) for depth in (100, 300, 500, 700, 899)]
+    # the reference recurses about twice as deep as the tree
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        for t in trees:
+            assert _posword_indices(t) == _posword_indices_recursive(t)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_word_from_map_f_rejects_permuted():

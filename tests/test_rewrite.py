@@ -13,7 +13,15 @@ from strandgroups.diagram import (
 )
 from strandgroups import rewrite
 from strandgroups.errors import NotReduced, StaleRedex
-from strandgroups.oracle import equals_identity, minimize, treepair_to_map, word_to_map
+from strandgroups.oracle import (
+    PrefixMap,
+    _posword_indices,
+    equals_identity,
+    minimize,
+    treepair_to_map,
+    word_from_map_f,
+    word_to_map,
+)
 from strandgroups.rewrite import (
     Redex,
     ReductionStats,
@@ -283,6 +291,19 @@ def test_deep_tree_pairs_roundtrip():
     tp = to_tree_pair(d)
     assert tp.n_leaves == n + 2
     assert encode_square(from_tree_pair(tp)) == encode_square(d)
+
+
+def test_deep_comb_word_from_map():
+    # the identity on the 2,000 leaves of a comb: its leaf addresses are
+    # 2,000 deep, past the interpreter's recursion limit
+    n = 2000
+    leaves = tuple(antichain(comb(n)))
+    assert word_from_map_f(PrefixMap(leaves, leaves, tuple(range(n)))).letters == ()
+    left_comb = LEAF
+    for _ in range(n - 1):
+        left_comb = (left_comb, LEAF)
+    # x0 rotates a left comb one caret at a time into the right comb
+    assert _posword_indices(left_comb) == [0] * (n - 2)
 
 
 def test_reduction_count_bound(rng):
