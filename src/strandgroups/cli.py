@@ -7,7 +7,7 @@ Verbs:
     rotnum  "w"                    rotation number of a T word
     oracle  eq|conj ...            exact prefix-map oracle
     export  --format dot|json      serialized reduced diagram
-    bench   reduce --lengths ...   linear-reduction measurements
+    bench   reduce -g F --lengths  linear-reduction measurements
 
 A word argument may be ``@path`` (read a file) or ``-`` (read stdin, for
 one word only); Linux caps one exec argument at 128 KiB, ~3x10^4 letters.
@@ -26,6 +26,7 @@ from .canonical import canonical_annular, is_conjugate_f
 from .closure import close_abstract, close_annular, close_cylindrical, reduce_closed
 from .errors import AlphabetError, ArityMismatch, ParseError, StrandError
 from .io import closed_to_dot, closed_to_json, square_to_dot, square_to_json, to_json_text
+from .io import in_traversal_order
 from .oracle import brute_conj_witness, word_to_map
 from .rewrite import reduce_diagram
 from .toral import canonical_toral, is_conjugate_t, rotation_number
@@ -100,7 +101,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    d = reduced_diagram(parse_word(args.word, args.group))
+    d = in_traversal_order(reduced_diagram(parse_word(args.word, args.group)))
     if args.stage == "square":
         out = square_to_dot(d) if args.format == "dot" else to_json_text(square_to_json(d))
     else:
@@ -117,7 +118,7 @@ def _cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     print("# N build_s reduce_s total_s vertices_before vertices_after stream_s stream_slots")
     for n in lengths:
-        w = random_word("F", n, rng)
+        w = random_word(args.group, n, rng)
         t0 = time.perf_counter()
         d = word_to_diagram(w)
         t1 = time.perf_counter()
@@ -204,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="reduction scaling measurements")
     bsub = sp.add_subparsers(dest="bench_verb", required=True)
     br = bsub.add_parser("reduce")
+    add_group(br)
     br.add_argument("--lengths", default="1000,10000,100000")
     br.add_argument("--seed", type=int, default=0)
     br.set_defaults(func=_cmd_bench)

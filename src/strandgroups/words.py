@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .diagram import DEAD, MERGE, StrandDiagram, from_tree_pair, identity_diagram, invert, sink_code
@@ -157,24 +157,28 @@ def generator_diagram(g: Generator, group: str = "F") -> StrandDiagram:
     return d
 
 
-# -- linear word builders: one precomputed template per letter ------------------
+# -- linear word builders: one precomputed template per block of letters -------
+
+_BLOCK = {"F": 4, "T": 4, "V": 3}  # letters per block: 4^4 F, 6^4 T, 8^3 V blocks
 
 
 class _Templates(dict):
-    """Generator -> (kinds, slots, source head, sink tail, wraps, sink wrap),
-    filled on first use from the square (V) or cylindrical (T) diagram."""
+    """Letter tuple -> (kinds, slots, source head, sink tail, wraps, sink
+    wrap), filled on first use from one letter's square (V) or cylindrical
+    (T) diagram, or a longer block's reduced diagram (no kinds if identity)."""
 
     def __init__(self, group: str):
         self.group = group
 
-    def __missing__(self, g: Generator):
-        d = generator_diagram(g, self.group)
-        x_ep = d.src_conn[0]   # head endpoint fed by the source
-        y_ep = d.snk_conn[0]   # tail endpoint feeding the sink
-        assert x_ep >= 0 and y_ep >= 0, "generator template must not be the identity"
+    def __missing__(self, key: tuple[Generator, ...]):
+        if len(key) == 1:
+            d = generator_diagram(key[0], self.group)
+        else:
+            d = reduced_diagram(Word(self.group, key), trace=[])
         lw = d.long or {}
         tlong = tuple((h, w) for h, w in lw.items() if h >= 0 and w)
-        self[g] = tpl = (bytes(d.kind), tuple(d.conn), x_ep, y_ep, tlong, lw.get(SINK, 0))
+        tpl = (bytes(d.kind), tuple(d.conn), d.src_conn[0], d.snk_conn[0], tlong, lw.get(SINK, 0))
+        self[key] = tpl
         return tpl
 
 
@@ -182,17 +186,22 @@ _TEMPLATES = (_Templates("V"), _Templates("T"))  # indexed by "has wrap counts"
 SINK = sink_code(0)
 
 
-def _grow(d: StrandDiagram, letters):
-    """Splice each letter's template between the sink and its tail, the
-    endpoint that fed the sink; yields that tail after each letter.  The
-    sink edge's wrap count moves onto the template's source edge."""
+def _grow(d: StrandDiagram, keys):
+    """Splice each key's template between the sink and its tail, the
+    endpoint that fed the sink; yields that tail after each splice.  The
+    sink edge's wrap count moves onto the template's source edge; an
+    identity block only adds its own wrap count to the sink edge's."""
     kind = d.kind
     conn = d.conn
     snk_conn = d.snk_conn
     long = d.long
     templates = _TEMPLATES[long is not None]
-    for g in letters:
-        tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[g]
+    for key in keys:
+        tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[key]
+        if not tk:
+            if snk_lw:
+                long[SINK] = long.get(SINK, 0) + snk_lw
+            continue
         tail = snk_conn[0]
         off = len(conn)
         kind.extend(tk)
@@ -224,7 +233,7 @@ def word_to_diagram(w: Word) -> StrandDiagram:
     letter.  The empty word gives the identity diagram.
     """
     d = identity_diagram(cylindrical=w.group == "T")
-    for _ in _grow(d, w.letters):
+    for _ in _grow(d, zip(w.letters)):
         pass
     return d
 
@@ -232,21 +241,25 @@ def word_to_diagram(w: Word) -> StrandDiagram:
 def reduced_diagram(w: Word, *more: Word, trace: list | None = None) -> StrandDiagram:
     """The reduced diagram of the product ``w * more[0] * ...``, reduced as
     it is built, with vertices 0..n-1.  By confluence it is the diagram of
-    ``reduce_diagram(word_to_diagram(...))`` up to vertex ids, after as many
-    moves (collected in ``trace``).
+    ``reduce_diagram(word_to_diagram(...))`` up to vertex ids.
 
-    Every template starts with a split and ends with a merge, so after a
-    letter's splice only its tail can top a redex; ``cascade`` fires it and
-    all it uncovers.  Dead vertices at the end of the arrays are dropped,
-    the rest renumbered once they outnumber the live ones.
+    The letters of all the words, joined end to end, are spliced already
+    reduced in blocks of ``_BLOCK[group]``, or one at a time with ``trace``,
+    which then collects as many moves as the two-step path fires.  A
+    reduced non-identity block starts with a split and ends with a merge,
+    so after a splice only the old tail can top a redex; ``cascade`` fires
+    it and all it uncovers.  Dead vertices at the end of the arrays are
+    dropped, the rest renumbered once they outnumber the live ones.
     """
     for u in more:
         if u.group != w.group:
             raise AlphabetError("cannot concatenate words over different groups")
+    letters = chain(w.letters, *(u.letters for u in more))
+    k = 1 if trace is not None else _BLOCK[w.group]
     d = identity_diagram(cylindrical=w.group == "T")
     kind = d.kind
     dead = 0
-    for tail in _grow(d, chain(w.letters, *(u.letters for u in more))):
+    for tail in _grow(d, iter(lambda: tuple(islice(letters, k)), ())):
         if tail >= 0 and kind[tail // 3] == MERGE:
             dead += 2 * cascade(d, tail // 3, trace)
             n = len(kind)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import strandgroups
+from strandgroups import cli, words
 from strandgroups.cli import main
 from strandgroups.words import random_word, word_to_text
 
@@ -113,14 +114,32 @@ def test_export_dot(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+def test_export_does_not_depend_on_the_build_path(capsys, monkeypatch):
+    # the block build and the per-letter build leave other ids (and, on the
+    # cylinder, other wrap counts along the same paths); export renumbers both
+    rng = random.Random(19)
+    argvs = [
+        ("export", "-g", group, "--stage", stage, "--format", fmt, text)
+        for group in "FTV"
+        for text in (word_to_text(random_word(group, rng.randrange(0, 200), rng)) for _ in range(8))
+        for stage in ("square", "closed")
+        for fmt in ("json", "dot")
+    ]
+    by_blocks = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "reduced_diagram", lambda w: words.reduced_diagram(w, trace=[]))
+    assert [run(capsys, *argv) for argv in argvs] == by_blocks
+    assert all(code == 0 for code, _, _ in by_blocks)
+
+
 def test_bench_rows(capsys):
-    code, out, _ = run(capsys, "bench", "reduce", "--lengths", "200,100", "--seed", "7")
-    lines = out.splitlines()
-    assert lines[0].startswith("#")
-    rows = [line.split() for line in lines[1:]]
-    assert [int(r[0]) for r in rows] == [100, 200]  # sorted ascending
-    assert all(len(r) == 8 for r in rows)
-    assert all(r[7] == r[5] for r in rows)  # the streamed diagram holds only live slots
+    for group in ([], ["-g", "T"]):
+        code, out, _ = run(capsys, "bench", "reduce", *group, "--lengths", "200,100", "--seed", "7")
+        lines = out.splitlines()
+        assert lines[0].startswith("#")
+        rows = [line.split() for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [100, 200]  # sorted ascending
+        assert all(len(r) == 8 for r in rows)
+        assert all(r[7] == r[5] for r in rows)  # the streamed diagram holds only live slots
 
 
 def test_conj_dispatch_t_v(capsys):

@@ -11,7 +11,7 @@ from strandgroups.diagram import (
     sink_code,
     source_code,
 )
-from strandgroups import rewrite
+from strandgroups import rewrite, words
 from strandgroups.errors import NotReduced, StaleRedex
 from strandgroups.oracle import (
     PrefixMap,
@@ -210,15 +210,25 @@ def test_stats_record_the_first_round_on_reduced_input():
 )
 def test_redex_checks_are_linear_in_the_input(monkeypatch, rng, group, close):
     # the sweep examines each vertex once, each cascade root once more and
-    # at most two tails per move; the streamed builder one tail per letter
+    # at most two tails per move; the streamed builder one tail per letter,
+    # or per block of letters, whose template comes already reduced
     calls = [0]
+    moves = [0]
     redex_at = rewrite._redex_at
+    cascade = words.cascade
 
     def counted(g, u):
         calls[0] += 1
         return redex_at(g, u)
 
+    def counted_moves(g, u, trace=None):
+        fired = cascade(g, u, trace)
+        moves[0] += fired
+        return fired
+
     monkeypatch.setattr(rewrite, "_redex_at", counted)
+    monkeypatch.setattr(words, "cascade", counted_moves)
+    k = words._BLOCK[group]
     for _ in range(30):
         w = random_word(group, rng.randrange(0, 400), rng)
         for g in (word_to_diagram(w), close(word_to_diagram(w))):
@@ -232,6 +242,12 @@ def test_redex_checks_are_linear_in_the_input(monkeypatch, rng, group, close):
         calls[0] = 0
         reduced_diagram(w, w.inverse(), trace=trace)
         assert calls[0] <= 2 * len(w.letters) + 2 * len(trace)
+        reduced_diagram(w, w.inverse())  # fills the templates of its blocks
+        calls[0] = moves[0] = 0
+        reduced_diagram(w, w.inverse())
+        blocks = -(-2 * len(w.letters) // k)
+        assert calls[0] <= blocks + 3 * moves[0]
+        assert moves[0] <= len(trace)
 
 
 def test_trace_records_moves():

@@ -60,14 +60,14 @@ def test_streamed_product_of_several_words():
         reduced_diagram(Word("F", ()), Word("T", ()))
 
 
-def test_streamed_arrays_stay_within_twice_the_live_vertices(monkeypatch):
-    # observed as each letter's cascade starts: the previous letter left at
-    # most twice its live vertices, and one template (at most 6) came on top
+def _array_sizes(monkeypatch, trace, every):
+    """(slots, live vertices) as every ``every``-th cascade starts, while
+    ``w * w^-1`` streams in, for a random w of 10^4 letters in each group."""
     seen = []
     cascade = words.cascade
 
     def watched(d, u, trace=None):
-        if len(seen) % 97 == 0:
+        if len(seen) % every == 0:
             seen.append((len(d.kind), d.num_vertices()))
         else:
             seen.append(None)
@@ -78,11 +78,80 @@ def test_streamed_arrays_stay_within_twice_the_live_vertices(monkeypatch):
     for group in "FTV":
         seen.clear()
         w = random_word(group, 10**4, rng)
-        d = reduced_diagram(w, w.inverse())
+        d = reduced_diagram(w, w.inverse(), trace=trace)
         assert len(d.kind) == 0 and d.is_identity()
-        sizes = [s for s in seen if s is not None]
+        yield group, [s for s in seen if s is not None]
+
+
+def test_streamed_arrays_stay_within_twice_the_live_vertices(monkeypatch):
+    # observed as each letter's cascade starts: the previous letter left at
+    # most twice its live vertices, and one template (at most 6) came on top
+    for _, sizes in _array_sizes(monkeypatch, [], 97):
         assert len(sizes) > 100
         assert all(n <= 2 * live + 6 for n, live in sizes), max(n - 2 * live for n, live in sizes)
+
+
+def test_block_arrays_stay_within_twice_the_live_vertices(monkeypatch):
+    # the same bound on the block path, with one block's template on top
+    for group, sizes in _array_sizes(monkeypatch, None, 23):
+        largest = max(len(tpl[0]) for tpl in words._TEMPLATES[group == "T"].values())
+        assert 6 < largest <= 12
+        assert len(sizes) > 100
+        assert all(n <= 2 * live + largest for n, live in sizes), max(n - 2 * live for n, live in sizes)
+
+
+def _pairs(group, rng, n):
+    """A word of n random g g^-1 pairs: it and many of its blocks are identities."""
+    letters = []
+    for g in random_word(group, n, rng).letters:
+        letters += (g, g.inverse())
+    return Word(group, tuple(letters))
+
+
+def _same_by_blocks_and_letters(*ws):
+    d = reduced_diagram(*ws)
+    ref = reduced_diagram(*ws, trace=[])
+    d.validate()
+    assert len(d.kind) == d.num_vertices() == ref.num_vertices()
+    assert encode_square(d) == encode_square(ref)
+    return d, ref
+
+
+def test_blocks_match_letters():
+    rng = random.Random(74)
+    c = Generator("c", 1)
+    for i in range(150):
+        group = "FTV"[i % 3]
+        w = random_word(group, rng.randrange(0, 401), rng)
+        d, ref = _same_by_blocks_and_letters(w)
+        assert _canon(group, d) == _canon(group, ref)
+        assert reduced_diagram(w, w.inverse()).is_identity()
+        # several words, whose blocks span the boundaries between them
+        more = [random_word(group, rng.randrange(0, 9), rng) for _ in range(rng.randrange(2, 6))]
+        _same_by_blocks_and_letters(w, *more)
+        # g g^-1 pairs, and a few letters in front to shift the blocks
+        p = _pairs(group, rng, rng.randrange(0, 40))
+        assert _same_by_blocks_and_letters(p)[0].is_identity()
+        _same_by_blocks_and_letters(random_word(group, i % 5, rng), p, w)
+        if group == "T":
+            # runs of c: the reduced blocks carry wrap counts
+            u = Word("T", tuple(rng.choice((c, c.inverse())) for _ in range(rng.randrange(0, 9))))
+            runs = Word("T", (c,) * rng.randrange(1, 13))
+            for ws in ((runs,), (u, runs, w), (runs, p, runs), (w, runs, runs.inverse(), w.inverse())):
+                d, ref = _same_by_blocks_and_letters(*ws)
+                assert _canon("T", d) == _canon("T", ref)
+            assert d.is_identity()
+
+
+def test_identity_blocks_keep_the_sink_wrap():
+    # w reduces to no vertices and wrap count -3 on its one edge; an
+    # identity block after it must leave that wrap count on the sink edge,
+    # and the next template must take it onto its source edge
+    w = parse_word("x1 X1 X0 X1 x1 x0 x0 C C x0 C C", "T")
+    pad = parse_word("x0 X0 x1 X1", "T")
+    for ws in ((w,), (w, pad), (w, pad, pad, parse_word("x0", "T"))):
+        d, _ = _same_by_blocks_and_letters(*ws)
+        assert (d.num_vertices(), d.long.get(words.SINK)) == ((0, -3) if len(ws) < 3 else (4, None))
 
 
 @pytest.mark.parametrize(
