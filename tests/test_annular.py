@@ -3,6 +3,7 @@
 import pytest
 
 from strandgroups.closure import (
+    CLOSED,
     ClosedDiagram,
     FreeLoop,
     check_cycle_structure,
@@ -14,7 +15,7 @@ from strandgroups.closure import (
     ring_decomposition,
 )
 from strandgroups.canonical import canonical_annular
-from strandgroups.diagram import StrandDiagram, sink_code, source_code, vine
+from strandgroups.diagram import MERGE, SPLIT, StrandDiagram, sink_code, source_code, vine
 from strandgroups.errors import ArityMismatch, NotReduced, StructureViolation
 from strandgroups.rewrite import apply_redex, find_redexes, reduce_diagram
 from strandgroups.words import parse_word, random_word, word_to_diagram
@@ -200,3 +201,30 @@ def test_cutting_sequence_is_cochain(rng):
             # every reader of the cut order needs it total: no two cuts tie
             positions = [p for p, _ in seq]
             assert all(p < q for p, q in zip(positions, positions[1:])), group
+
+
+def _split_merge_cycle(cut_heads):
+    """A split whose two outputs feed one merge, whose output feeds the
+    split back: every directed cycle runs through one parallel edge and
+    the edge back.  ``cut_heads`` get one cut each."""
+    s, m = 0, 1
+    c = ClosedDiagram(CLOSED)
+    c.kind = [SPLIT, MERGE]
+    c.conn = [None] * 6
+    for tail, head in ((3 * s + 1, 3 * m), (3 * s + 2, 3 * m + 1), (3 * m + 2, 3 * s)):
+        c.conn[tail] = head
+        c.conn[head] = tail
+    c.cuts = {h: [(i,)] for i, h in enumerate(cut_heads)}
+    return c
+
+
+def test_validate_positive_raise_paths():
+    with pytest.raises(StructureViolation, match="zero winding"):
+        _split_merge_cycle([]).validate_positive()
+    with pytest.raises(StructureViolation, match="zero winding"):
+        _split_merge_cycle([3]).validate_positive()  # the right edge stays cut-free
+    c = _split_merge_cycle([3, 4])
+    c.validate_positive()
+    c.free_loops.append(FreeLoop([]))
+    with pytest.raises(StructureViolation, match="free loop with nonpositive winding"):
+        c.validate_positive()

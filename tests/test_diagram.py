@@ -3,6 +3,7 @@
 import pytest
 
 from strandgroups.diagram import (
+    OUT_SLOTS,
     StrandDiagram,
     concatenate,
     conjugate_by_vine,
@@ -14,9 +15,17 @@ from strandgroups.diagram import (
     vine,
 )
 from strandgroups.errors import ArityMismatch, BoundaryMismatch, CyclicGraph, DanglingPort
-from strandgroups.rewrite import find_redexes, reduce_diagram
+from strandgroups.io import in_traversal_order
+from strandgroups.rewrite import encode_square, find_redexes, reduce_diagram
 from strandgroups.trees import LEAF, TreePair, identity_pair
-from strandgroups.words import GENERATOR_PAIRS, Generator, generator_diagram
+from strandgroups.words import (
+    GENERATOR_PAIRS,
+    Generator,
+    generator_diagram,
+    random_word,
+    reduced_diagram,
+    word_to_diagram,
+)
 
 from conftest import random_tree_pair
 
@@ -213,3 +222,40 @@ def test_from_tree_pair_x0_is_reduced():
     d = from_tree_pair(GENERATOR_PAIRS["x0"])
     assert d.num_vertices() == 4
     assert find_redexes(d) == []
+
+
+def _shift_wraps(d, heads, delta):
+    for h in heads:
+        w = d.long.get(h, 0) + delta
+        if w:
+            d.long[h] = w
+        else:
+            d.long.pop(h, None)
+
+
+def test_encode_square_sees_wraps_up_to_a_coboundary(rng):
+    """The wraps are read up to a coboundary: adding 1 to every edge out
+    of an interior vertex and -1 to every edge into it moves no
+    source-to-sink path sum and no cycle sum, so the bytes stay; adding 1
+    at the source edge moves every source-to-sink path sum, so they change."""
+    for _ in range(60):
+        w = random_word("T", rng.randrange(1, 16), rng)
+        for d in (word_to_diagram(w), reduced_diagram(w)):
+            live = list(d.live_vertices())
+            if not live:
+                continue
+            assert d.long is not None
+            ref = encode_square(d)
+            v = rng.choice(live)
+            e = d.copy()
+            _shift_wraps(e, [e.conn[3 * v + s] for s in OUT_SLOTS[e.kind[v]]], 1)
+            _shift_wraps(e, [3 * v + s for s in range(3) if s not in OUT_SLOTS[e.kind[v]]], -1)
+            assert e.long != d.long
+            assert encode_square(e) == ref
+            e = d.copy()
+            _shift_wraps(e, [e.src_conn[0]], 1)
+            assert encode_square(e) != ref
+            once = in_traversal_order(d)
+            twice = in_traversal_order(once)
+            for attr in ("kind", "conn", "src_conn", "snk_conn", "long"):
+                assert getattr(twice, attr) == getattr(once, attr)
