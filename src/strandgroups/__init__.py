@@ -12,6 +12,7 @@ from .diagram import (
     StrandDiagram,
     concatenate,
     conjugate_by_vine,
+    encode_square,
     from_tree_pair,
     identity_diagram,
     invert,
@@ -33,7 +34,6 @@ from .rewrite import (
     Redex,
     ReductionStats,
     apply_redex,
-    encode_square,
     find_redexes,
     reduce_diagram,
     to_tree_pair,

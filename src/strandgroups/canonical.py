@@ -70,7 +70,10 @@ def _pieces(c: ClosedDiagram, root: int, with_weights: bool, queue: list | None 
     ``";"`` plus one token, so the pieces concatenate to the encoding
     and a consumer can stop reading as soon as the prefix decides a
     comparison.  ``queue``, when given, is an empty list that receives
-    the vertices in discovery order as the stream is read.
+    the vertices in discovery order as the stream is read.  Vertices are
+    numbered in discovery order, so the encoding depends only on the
+    ported structure and, with ``with_weights``, on the gauge residuals
+    of the cut and wrap cochains along non-tree edges.
     """
     kind = c.kind
     conn = c.conn
@@ -117,21 +120,10 @@ def _pieces(c: ClosedDiagram, root: int, with_weights: bool, queue: list | None 
                 yield f";v{j}.{peer % 3}"
 
 
-def encode_component(
-    c: ClosedDiagram, root: int, with_weights: bool = False
-) -> bytes:
-    """Deterministic port-respecting traversal encoding from ``root``.
-
-    Vertices are numbered in discovery order, so the bytes depend only
-    on the ported structure (and, with ``with_weights``, on the gauge
-    residuals of the cut/wrap cochains along non-tree edges).
-    """
-    return "".join(_pieces(c, root, with_weights)).encode()
-
-
 def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
-    """``min(encode_component(c, v, with_weights) for v in roots)``, with
-    early exit and without re-encoding roots that a symmetry makes equal.
+    """The least over ``roots`` of the traversal encoding from a root,
+    ``"".join(_pieces(c, root, with_weights)).encode()``, with early exit
+    and without re-encoding roots that a symmetry makes equal.
 
     Roots are encoded one at a time and compared, as they go, with the
     least encoding so far, which is read only as far as a comparison

@@ -24,9 +24,9 @@ import time
 
 from .canonical import canonical_annular, is_conjugate_f
 from .closure import close_abstract, close_annular, close_cylindrical, reduce_closed
+from .diagram import in_traversal_order
 from .errors import AlphabetError, ArityMismatch, ParseError, StrandError
 from .io import closed_to_dot, closed_to_json, square_to_dot, square_to_json, to_json_text
-from .io import in_traversal_order
 from .oracle import brute_conj_witness, word_to_map
 from .rewrite import reduce_diagram
 from .toral import canonical_toral, is_conjugate_t, rotation_number

@@ -41,7 +41,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .diagram import DEAD, MERGE, OUT_SLOTS, SPLIT, TYPE_I, StrandDiagram, sink_code, sink_index
+from .diagram import (
+    DEAD, MERGE, OUT_SLOTS, SPLIT, TYPE_I, StrandDiagram, cyclic_vertex, sink_code, sink_index,
+)
 from .errors import ArityMismatch, NotReduced, StructureViolation
 from .rewrite import find_redexes, reduce_diagram
 
@@ -165,30 +167,8 @@ class ClosedDiagram:
         negative, a nonpositive cycle is a cycle of cut-free edges, so
         it suffices that the zero-weight subgraph is acyclic.
         """
-        kind = self.kind
-        conn = self.conn
-        indeg: dict[int, int] = {}
-        outs: dict[int, list[int]] = {}
-        for v in self.live_vertices():
-            indeg.setdefault(v, 0)
-            targets = []
-            for s in OUT_SLOTS[kind[v]]:
-                h = conn[3 * v + s]
-                if not self.cuts.get(h):
-                    targets.append(h // 3)
-                    indeg[h // 3] = indeg.get(h // 3, 0) + 1
-            outs[v] = targets
-        queue = [v for v, dg in indeg.items() if dg == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in outs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(indeg):
-            bad = next(v for v, dg in indeg.items() if dg > 0)
+        bad = cyclic_vertex(self.kind, self.conn, lambda head: not self.cuts.get(head))
+        if bad is not None:
             raise StructureViolation(
                 f"directed cycle with zero winding through vertex {bad}"
             )

@@ -26,7 +26,7 @@ unique head) and stored sparsely.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
 
 from .errors import ArityMismatch, BoundaryMismatch, CyclicGraph, DanglingPort
 from .trees import TreePair
@@ -255,31 +255,61 @@ class StrandDiagram:
             for s in range(3):
                 check_endpoint(conn[3 * v + s], 3 * v + s)
 
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        kind = self.kind
-        conn = self.conn
-        indeg = {v: 0 for v in self.live_vertices()}
-        for v in indeg:
-            for s in OUT_SLOTS[kind[v]]:
-                if conn[3 * v + s] >= 0:
-                    indeg[conn[3 * v + s] // 3] += 1
-        queue = [v for v, dg in indeg.items() if dg == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for s in OUT_SLOTS[kind[v]]:
-                peer = conn[3 * v + s]
-                if peer >= 0:
-                    w = peer // 3
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        queue.append(w)
-        if seen != len(indeg):
-            bad = next(v for v, dg in indeg.items() if dg > 0)
+        bad = cyclic_vertex(kind, conn, lambda head: True)
+        if bad is not None:
             raise CyclicGraph(f"directed cycle through vertex {bad}")
+
+
+def cyclic_vertex(kind, conn, follow):
+    """The least live vertex on or below a directed cycle of the edges
+    whose heads ``follow`` picks, or None: Kahn's sort places every
+    vertex in dependency order and leaves exactly those unplaced."""
+    outs = [[h // 3 for h in (conn[3 * v + s] for s in OUT_SLOTS[k]) if h >= 0 and follow(h)]
+            for v, k in enumerate(kind)]
+    indeg = [0] * len(kind)
+    for w in chain.from_iterable(outs):
+        indeg[w] += 1
+    queue = [v for v, k in enumerate(kind) if k != DEAD and not indeg[v]]
+    for v in queue:
+        for w in outs[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                queue.append(w)
+    return next((v for v, k in enumerate(kind) if k != DEAD and indeg[v]), None)
+
+
+def in_traversal_order(d: StrandDiagram) -> StrandDiagram:
+    """A copy of ``d`` with its vertices numbered in the order that a
+    traversal from the sources meets them, ports in slot order, and its
+    wrap counts as that traversal's residuals: a gauge-fixed numbering,
+    so that the copy does not depend on how ``d`` was built."""
+    long = d.long or {}
+    order = []  # read by the second half of ``ends`` while it grows
+    phi = {}  # vertex -> wraps summed from the sources along the traversal; boundary codes 0
+    ends = chain(zip(map(source_code, range(d.m)), d.src_conn, repeat(0)),
+                 ((e, d.conn[e], phi[v]) for v in order for e in range(3 * v, 3 * v + 3)))
+    for e, peer, p in ends:
+        if peer >= 0 and peer // 3 not in phi:
+            order.append(peer // 3)
+            phi[peer // 3] = p + long.get(peer, 0) if d.is_tail(e) else p - long.get(e, 0)
+    new = {3 * v + s: 3 * i + s for i, v in enumerate(order) for s in range(3)}
+    r = StrandDiagram()
+    r.kind = bytearray(d.kind[v] for v in order)
+    r.conn = [new.get(e, e) for e in map(d.conn.__getitem__, new)]
+    r.src_conn, r.snk_conn = ([new.get(e, e) for e in side] for side in (d.src_conn, d.snk_conn))
+    wraps = ((h, phi.get(t // 3, 0) + long.get(h, 0) - phi.get(h // 3, 0)) for t, h in d.edges())
+    r.long = None if d.long is None else {new.get(h, h): w for h, w in wraps if w}
+    return r
+
+
+def encode_square(d: StrandDiagram) -> bytes:
+    """Bytes equal exactly for square diagrams that are isomorphic
+    preserving ports and boundary order, with wrap counts equal up to a
+    coboundary at the interior vertices: those of ``in_traversal_order(d)``,
+    with its wraps sorted by head."""
+    r = in_traversal_order(d)
+    wraps = None if r.long is None else sorted(r.long.items())
+    return repr((r.src_conn, r.snk_conn, bytes(r.kind), r.conn, wraps)).encode()
 
 
 def identity_diagram(cylindrical: bool = False) -> StrandDiagram:

@@ -14,7 +14,6 @@ any lone input/output is port 0.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
 
 from .closure import ClosedDiagram, TORAL, CLOSED
 from .diagram import (
@@ -44,29 +43,6 @@ def _endpoint_obj(d, ep, renum, role):
     if is_source_code(ep):
         return {"source": source_index(ep)}
     return {"sink": sink_index(ep)}
-
-
-def in_traversal_order(d: StrandDiagram) -> StrandDiagram:
-    """A copy of ``d`` with its vertices numbered in the order that
-    ``encode_square`` meets them and its wrap counts as that traversal's
-    residuals, so that export does not depend on how ``d`` was built."""
-    long = d.long or {}
-    order = []  # read by the second half of ``ends`` while it grows
-    phi = {}  # vertex -> wraps summed from the sources along the traversal; boundary codes 0
-    ends = chain(zip(map(source_code, range(d.m)), d.src_conn, repeat(0)),
-                 ((e, d.conn[e], phi[v]) for v in order for e in range(3 * v, 3 * v + 3)))
-    for e, peer, p in ends:
-        if peer >= 0 and peer // 3 not in phi:
-            order.append(peer // 3)
-            phi[peer // 3] = p + long.get(peer, 0) if d.is_tail(e) else p - long.get(e, 0)
-    new = {3 * v + s: 3 * i + s for i, v in enumerate(order) for s in range(3)}
-    r = StrandDiagram()
-    r.kind = bytearray(d.kind[v] for v in order)
-    r.conn = [new.get(e, e) for e in map(d.conn.__getitem__, new)]
-    r.src_conn, r.snk_conn = ([new.get(e, e) for e in side] for side in (d.src_conn, d.snk_conn))
-    wraps = ((h, phi.get(t // 3, 0) + long.get(h, 0) - phi.get(h // 3, 0)) for t, h in d.edges())
-    r.long = None if d.long is None else {new.get(h, h): w for h, w in wraps if w}
-    return r
 
 
 def square_to_json(d: StrandDiagram) -> dict:

@@ -50,9 +50,7 @@ from .diagram import (
     TYPE_I,
     TYPE_II,
     StrandDiagram,
-    is_sink_code,
     sink_code,
-    source_code,
 )
 from .errors import ArityMismatch, NotReduced, StaleRedex
 from .trees import TreePair, tree_from_antichain
@@ -226,61 +224,3 @@ def to_tree_pair(d: StrandDiagram) -> TreePair:
         tree_from_antichain([a for a, _ in rng_leaves]),
         bijection,
     )
-
-
-# -- deterministic byte encoding of square diagrams --------------------------
-
-
-def encode_square(d: StrandDiagram) -> bytes:
-    """Order-comparable encoding of a square diagram.
-
-    Vertex ids do not leak in: vertices are numbered in a traversal
-    seeded from the boundary, so structurally identical diagrams encode
-    identically regardless of construction history.  Wrap counts, when
-    present, are folded in as gauge-fixed potentials (tree edges fix the
-    gauge; every edge emits its residual).
-    """
-    kind = d.kind
-    conn = d.conn
-    long = d.long
-    number: dict[int, int] = {}
-    phi: dict[int, int] = {}
-    queue: list[int] = []
-    tokens: list[str] = [f"{d.m},{d.n}"]
-
-    def edge_data(ep, peer):
-        # (head endpoint, +1 if edge flows ep->peer else -1)
-        return (peer, 1) if d.is_tail(ep) else (ep, -1)
-
-    def enc(ep, peer, phi_here):
-        if peer >= 0:
-            w = peer // 3
-            head, direction = edge_data(ep, peer)
-            lw = 0 if long is None else long.get(head, 0)
-            if w not in number:
-                # fresh vertices get sequential numbers, so the number is implicit
-                number[w] = len(number)
-                phi[w] = phi_here + direction * lw
-                queue.append(w)
-                return f"+{peer % 3}"
-            resid = phi_here + direction * lw - phi[w]
-            if long is None:
-                return f"v{number[w]}.{peer % 3}"
-            return f"v{number[w]}.{peer % 3}r{resid}"
-        if is_sink_code(peer):
-            j = (-peer - 3) // 2
-            lw = 0 if long is None else long.get(peer, 0)
-            tag = f"o{j}"
-            return tag if long is None else f"{tag}r{phi_here + lw}"
-        return f"i{(-peer - 2) // 2}"
-
-    for i, peer in enumerate(d.src_conn):
-        tokens.append("S" + enc(source_code(i), peer, 0))
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        tokens.append("SM"[kind[v]])
-        for s in range(3):
-            tokens.append(enc(3 * v + s, conn[3 * v + s], phi[v]))
-    return ";".join(tokens).encode()

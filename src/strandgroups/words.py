@@ -21,6 +21,7 @@ the cylinder carry wrap count 1.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
@@ -131,6 +132,9 @@ def parse_word(text: str, group: str = "F") -> Word:
             raise ParseError(_offset(text, raw), f"unknown generator {raw!r}")
         if name not in ALPHABETS[group]:
             raise AlphabetError(f"generator {name!r} is illegal in {group}")
+        # a repeat count must fit an index; int() refuses over 4300 digits
+        if exp is not None and (len(exp.lstrip("-0")) > 19 or abs(int(exp)) > sys.maxsize):
+            raise ParseError(_offset(text, raw), f"exponent of {raw!r} is too large")
         count = 1 if exp is None else int(exp)
         total = sign * count
         letters[raw] = (Generator(name, 1 if total > 0 else -1),) * abs(total)

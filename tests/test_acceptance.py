@@ -19,8 +19,9 @@ from strandgroups.closure import (
     close_cylindrical,
     reduce_closed,
 )
+from strandgroups.diagram import encode_square
 from strandgroups.oracle import brute_conj_witness, equals_identity, word_to_map
-from strandgroups.rewrite import encode_square, reduce_diagram
+from strandgroups.rewrite import reduce_diagram
 from strandgroups.toral import canonical_toral, dehn_twist, is_conjugate_t, rotation_number, torsion_witness
 from strandgroups.vgroup import canonical_abstract, cohomology_equivalent, is_conjugate_v
 from strandgroups.words import Generator, Word, parse_word, random_word, reduced_diagram, word_to_diagram

@@ -11,7 +11,6 @@ from strandgroups.canonical import (
     annular_form,
     canonical_annular,
     decorate,
-    encode_component,
     is_conjugate_f,
     min_encoding,
 )
@@ -88,13 +87,18 @@ def test_determinism_under_reindexing(rng):
         assert canonical_annular(a) == canonical_annular(b)
 
 
+def _encode_from(c, root, with_weights):
+    """The whole traversal encoding from ``root``: no early exit."""
+    return "".join(canonical._pieces(c, root, with_weights)).encode()
+
+
 def _assert_min_encoding_matches_reference(c, roots, with_weights, rng):
-    reference = min(encode_component(c, v, with_weights) for v in roots)
+    reference = min(_encode_from(c, v, with_weights) for v in roots)
     for _ in range(3):
         order = list(roots)
         rng.shuffle(order)
         assert min_encoding(c, order, with_weights) == reference
-    return sum(encode_component(c, v, with_weights) == reference for v in roots)
+    return sum(_encode_from(c, v, with_weights) == reference for v in roots)
 
 
 def test_min_encoding_matches_reference_on_random_f_rings(rng):
@@ -245,7 +249,7 @@ def test_ties_cost_logarithmic_traversals(monkeypatch, group, k):
         start = len(finished)
         out = least(c, roots, with_weights)
         traversals = len(finished) - start
-        ties = sum(canonical.encode_component(c, v, with_weights) == out for v in roots)
+        ties = sum(_encode_from(c, v, with_weights) == out for v in roots)
         calls.append((traversals, ties))
         return out
 

@@ -90,6 +90,16 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_exponent_too_large_to_expand_is_a_parse_error(capsys):
+    # sys.maxsize + 1 is the least count that cannot be repeated; int()
+    # reads at most 4300 digits
+    for exp in (sys.maxsize + 1, -sys.maxsize - 1, 10**20 - 1, "9" * 5000):
+        code, _, err = run(capsys, "eq", "-g", "F", f"x1 x0^{exp}", "x0")
+        assert code == 2 and "parse error at 3: exponent of 'x0^" in err
+    code, out, _ = run(capsys, "eq", "-g", "F", "x0^" + "0" * 30 + "1", "x0")
+    assert (code, out) == (0, "true")
+
+
 def test_oracle_verbs(capsys):
     code, out, _ = run(capsys, "oracle", "eq", "-g", "F", "x0 x0^-1", "")
     assert code == 0 and out == "true"

@@ -7,16 +7,17 @@ from strandgroups.diagram import (
     StrandDiagram,
     concatenate,
     conjugate_by_vine,
+    encode_square,
     from_tree_pair,
     identity_diagram,
+    in_traversal_order,
     invert,
     sink_code,
     source_code,
     vine,
 )
 from strandgroups.errors import ArityMismatch, BoundaryMismatch, CyclicGraph, DanglingPort
-from strandgroups.io import in_traversal_order
-from strandgroups.rewrite import encode_square, find_redexes, reduce_diagram
+from strandgroups.rewrite import find_redexes, reduce_diagram
 from strandgroups.trees import LEAF, TreePair, identity_pair
 from strandgroups.words import (
     GENERATOR_PAIRS,

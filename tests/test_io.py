@@ -11,7 +11,8 @@ from strandgroups.io import (
     square_to_json,
     to_json_text,
 )
-from strandgroups.rewrite import encode_square, reduce_diagram
+from strandgroups.diagram import encode_square
+from strandgroups.rewrite import reduce_diagram
 from strandgroups.words import Word, parse_word, random_word, word_to_diagram
 
 

@@ -6,6 +6,7 @@ from strandgroups.closure import close_abstract, close_annular, close_cylindrica
 from strandgroups.diagram import (
     StrandDiagram,
     concatenate,
+    encode_square,
     from_tree_pair,
     identity_diagram,
     sink_code,
@@ -26,7 +27,6 @@ from strandgroups.rewrite import (
     Redex,
     ReductionStats,
     apply_redex,
-    encode_square,
     find_redexes,
     reduce_diagram,
     to_tree_pair,

@@ -9,8 +9,9 @@ import pytest
 from strandgroups import words
 from strandgroups.canonical import canonical_annular
 from strandgroups.closure import close_abstract, close_annular, close_cylindrical, reduce_closed
+from strandgroups.diagram import encode_square
 from strandgroups.errors import AlphabetError, ParseError
-from strandgroups.rewrite import encode_square, reduce_diagram
+from strandgroups.rewrite import reduce_diagram
 from strandgroups.toral import canonical_toral
 from strandgroups.vgroup import canonical_abstract
 from strandgroups.words import Generator, Word, parse_word, random_word, reduced_diagram, word_to_diagram

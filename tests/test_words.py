@@ -2,9 +2,9 @@
 
 import pytest
 
-from strandgroups.diagram import concatenate, identity_diagram
+from strandgroups.diagram import concatenate, encode_square, identity_diagram
 from strandgroups.errors import AlphabetError, ParseError
-from strandgroups.rewrite import encode_square, find_redexes, reduce_diagram
+from strandgroups.rewrite import find_redexes, reduce_diagram
 from strandgroups.words import (
     Generator,
     Word,
