@@ -1,32 +1,31 @@
 #!/usr/bin/env python3
 """Measure that diagram reduction scales linearly in word length.
 
-Builds random F words of growing length, times the build and reduce
-phases separately, and reports the decade-over-decade ratios (a truly
-linear implementation stays near 10).
+Builds the reduced diagrams of random F words of growing length with
+``reduced_diagram``, the streamed builder every verdict uses, which
+freely reduces the word and splices pre-reduced blocks of letters.
+Reports the time and the decade-over-decade ratios (a truly linear
+implementation stays near 10).
 """
 
 import random
 import time
 
-from strandgroups import random_word, reduce_diagram, word_to_diagram
+from strandgroups import random_word, reduced_diagram
 
 LENGTHS = (10**3, 10**4, 10**5, 10**6)
 
 rng = random.Random(42)
 rows = []
-print(f"{'N':>9} {'build_s':>8} {'reduce_s':>9} {'total_s':>8} {'verts_in':>9} {'verts_out':>9}")
+print(f"{'N':>9} {'stream_s':>9} {'verts_out':>9}")
 for n in LENGTHS:
     w = random_word("F", n, rng)
     t0 = time.perf_counter()
-    d = word_to_diagram(w)
+    d = reduced_diagram(w)
     t1 = time.perf_counter()
-    before = len(d.kind)
-    reduce_diagram(d)
-    t2 = time.perf_counter()
-    rows.append((n, t1 - t0, t2 - t1, t2 - t0))
-    print(f"{n:>9} {t1 - t0:>8.3f} {t2 - t1:>9.3f} {t2 - t0:>8.3f} {before:>9} {d.num_vertices():>9}")
+    rows.append((n, t1 - t0))
+    print(f"{n:>9} {t1 - t0:>9.3f} {d.num_vertices():>9}")
 
 print("\ndecade ratios (target: about 10, linear):")
-for (n1, b1, r1, t1), (n2, b2, r2, t2) in zip(rows, rows[1:]):
-    print(f"  {n1} -> {n2}: build x{b2 / b1:.1f}, reduce x{r2 / r1:.1f}, total x{t2 / t1:.1f}")
+for (n1, s1), (n2, s2) in zip(rows, rows[1:]):
+    print(f"  {n1} -> {n2}: x{s2 / s1:.1f}")

@@ -50,7 +50,7 @@ from .closure import (
     reduce_closed,
     ring_decomposition,
 )
-from .canonical import CanonicalForm, annular_form, canonical_annular, decorate, is_conjugate_f
+from .canonical import CanonicalForm, annular_form, canonical_annular, is_conjugate_f
 from .toral import (
     canonical_toral,
     dehn_normalize,
@@ -118,7 +118,6 @@ __all__ = [
     "CanonicalForm",
     "annular_form",
     "canonical_annular",
-    "decorate",
     "is_conjugate_f",
     "canonical_toral",
     "dehn_normalize",

@@ -45,10 +45,9 @@ from .closure import (
     close_annular,
     reduce_closed,
     reduced_structure,
-    ring_decomposition,
 )
 from .errors import AlphabetError
-from .words import Word, reduced_diagram
+from .words import Word, core_diagram
 
 
 @dataclass(frozen=True, order=True)
@@ -244,8 +243,9 @@ def canonical_annular(a: ClosedDiagram) -> CanonicalForm:
 
 
 def annular_form(w: Word) -> CanonicalForm:
-    """Word -> reduced square diagram -> reduced annular diagram -> bytes."""
-    return canonical_annular(reduce_closed(close_annular(reduced_diagram(w))))
+    """Word -> cyclic core's reduced square diagram -> reduced annular
+    diagram -> bytes.  Conjugates close to the same annular diagram."""
+    return canonical_annular(reduce_closed(close_annular(core_diagram(w))))
 
 
 def is_conjugate_f(w1: Word, w2: Word) -> bool:
@@ -254,71 +254,3 @@ def is_conjugate_f(w1: Word, w2: Word) -> bool:
         raise AlphabetError("is_conjugate_f expects words over F's alphabet")
     return annular_form(w1) == annular_form(w2)
 
-
-# -- decoration export --------------------------------------------------------
-
-_GADGET_LEN = {(0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 0): 4, (1, 1): 5, (1, 2): 6}
-_MARKER_LEN = 8
-_HOLE_LEN = 9
-
-
-def decorate(a: ClosedDiagram):
-    """Plain undirected graph whose isomorphism type captures the
-    isotopy class of a reduced annular diagram.
-
-    Each edge is subdivided in three; pendant paths of distinct lengths
-    around every split and merge encode edge directions and the port
-    order; a chain of ring markers anchored at a hole vertex encodes
-    the radial order.  Returns (nodes, edges) with hashable node names,
-    ready for any third-party graph-isomorphism tool.
-    """
-    rings = ring_decomposition(a)
-    nodes = []
-    edges = []
-
-    def pendant(base, length, tag):
-        prev = base
-        for t in range(length):
-            nd = (tag, base, t)
-            nodes.append(nd)
-            edges.append((prev, nd))
-            prev = nd
-
-    for v in a.live_vertices():
-        nodes.append(("v", v))
-    for tail, head in a.edges():
-        e0 = ("e", head, 0)
-        e1 = ("e", head, 1)
-        nodes.extend((e0, e1))
-        edges.append((("v", tail // 3), e0))
-        edges.append((e0, e1))
-        edges.append((e1, ("v", head // 3)))
-        pendant(e0, _GADGET_LEN[(a.kind[tail // 3], tail % 3)], "g")
-        pendant(e1, _GADGET_LEN[(a.kind[head // 3], head % 3)], "g")
-    for i, _loop in enumerate(a.free_loops):
-        ring_nodes = [("l", i, t) for t in range(3)]
-        nodes.extend(ring_nodes)
-        edges.extend(
-            (ring_nodes[t], ring_nodes[(t + 1) % 3]) for t in range(3)
-        )
-
-    hole = ("H",)
-    nodes.append(hole)
-    pendant(hole, _HOLE_LEN, "h")
-    prev = hole
-    loop_index = {id(f): i for i, f in enumerate(a.free_loops)}
-    for ring in rings:
-        marker = ("M", ring.radial_index)
-        nodes.append(marker)
-        edges.append((prev, marker))
-        pendant(marker, _MARKER_LEN, "m")
-        if ring.kind == "free":
-            li = loop_index[id(ring.loop)]
-            edges.append((marker, ("l", li, 0)))
-            edges.append((marker, ("l", li, 1)))
-            edges.append((marker, ("l", li, 2)))
-        else:
-            for h in ring.cycles[0].heads:
-                edges.append((marker, ("e", h, 0)))
-        prev = marker
-    return nodes, edges

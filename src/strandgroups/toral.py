@@ -49,7 +49,7 @@ from .closure import (
 from .errors import StructureViolation
 from .oracle import PrefixMap, word_from_map_t
 from .trees import antichain, comb
-from .words import Word, reduced_diagram
+from .words import Word, core_diagram
 
 
 def cycle_class(t: ClosedDiagram) -> tuple[int, int]:
@@ -104,7 +104,7 @@ def _t_word(w: Word) -> Word:
 
 
 def _reduced_toral(w: Word) -> ClosedDiagram:
-    return reduce_closed(close_cylindrical(reduced_diagram(_t_word(w)), 0))
+    return reduce_closed(close_cylindrical(core_diagram(_t_word(w)), 0))
 
 
 def toral_form(w: Word) -> CanonicalForm:

@@ -38,7 +38,7 @@ from .closure import (
 )
 from .errors import CutoffExceeded
 from .oracle import equals_identity, identity_map, compose, word_to_map
-from .words import Word, reduced_diagram
+from .words import Word, core_diagram
 
 
 def cut_cochain(c: ClosedDiagram) -> dict:
@@ -131,7 +131,7 @@ def _v_word(w: Word) -> Word:
 
 
 def closed_form(w: Word) -> ClosedDiagram:
-    return reduce_closed(close_abstract(reduced_diagram(_v_word(w))))
+    return reduce_closed(close_abstract(core_diagram(_v_word(w))))
 
 
 def is_conjugate_v(w1: Word, w2: Word) -> bool:

@@ -247,20 +247,38 @@ def reduced_diagram(w: Word, *more: Word, trace: list | None = None) -> StrandDi
     it is built, with vertices 0..n-1.  By confluence it is the diagram of
     ``reduce_diagram(word_to_diagram(...))`` up to vertex ids.
 
-    The letters of all the words, joined end to end, are spliced already
-    reduced in blocks of ``_BLOCK[group]``, or one at a time with ``trace``,
-    which then collects as many moves as the two-step path fires.  A
-    reduced non-identity block starts with a split and ends with a merge,
-    so after a splice only the old tail can top a redex; ``cascade`` fires
-    it and all it uncovers.  Dead vertices at the end of the arrays are
-    dropped, the rest renumbered once they outnumber the live ones.
+    Without ``trace``, the letters of all the words, joined end to end, are
+    freely reduced (``free_reduce``) and spliced already reduced in blocks
+    of ``_BLOCK[group]``.  With ``trace`` they are spliced one at a time as
+    they stand, and ``trace`` collects as many moves as the two-step path
+    fires.  A reduced non-identity block starts with a split and ends with
+    a merge, so after a splice only the old tail can top a redex;
+    ``cascade`` fires it and all it uncovers.  Dead vertices at the end of
+    the arrays are dropped, the rest renumbered once they outnumber the
+    live ones.
     """
     for u in more:
         if u.group != w.group:
             raise AlphabetError("cannot concatenate words over different groups")
     letters = chain(w.letters, *(u.letters for u in more))
-    k = 1 if trace is not None else _BLOCK[w.group]
-    d = identity_diagram(cylindrical=w.group == "T")
+    if trace is None:
+        letters = free_reduce(letters)
+    return _spliced(w.group, letters, trace)
+
+
+def core_diagram(w: Word) -> StrandDiagram:
+    """The reduced diagram of ``cyclic_core(w)``, a conjugate of ``w``, built
+    from the freely reduced letters without copying them."""
+    letters, i, j = _core(w)
+    return _spliced(w.group, islice(letters, i, j))
+
+
+def _spliced(group: str, letters, trace: list | None = None) -> StrandDiagram:
+    """The reduced diagram of ``letters``, spliced as ``reduced_diagram``
+    says: in blocks, or one at a time with ``trace``."""
+    letters = iter(letters)
+    k = 1 if trace is not None else _BLOCK[group]
+    d = identity_diagram(cylindrical=group == "T")
     kind = d.kind
     dead = 0
     for tail in _grow(d, iter(lambda: tuple(islice(letters, k)), ())):
@@ -277,6 +295,42 @@ def reduced_diagram(w: Word, *more: Word, trace: list | None = None) -> StrandDi
     if dead:
         d.compact()
     return d
+
+
+# -- free and cyclic reduction (Lyndon-Schupp, ch. I.2) ------------------------
+
+_INVERSE = {Generator(s, e): Generator(s, -e) for s in GENERATOR_PAIRS for e in (1, -1)}
+
+
+def free_reduce(letters) -> list[Generator]:
+    """``letters`` with every adjacent g g^-1 pair cancelled, in one pass
+    with a stack.  The result names the same group element."""
+    out = []
+    for g in letters:
+        if out and out[-1] == _INVERSE[g]:
+            out.pop()
+        else:
+            out.append(g)
+    return out
+
+
+def _core(w: Word) -> tuple[list[Generator], int, int]:
+    """The freely reduced letters of ``w`` and the bounds i, j of its
+    cyclic core: ``letters[:i]`` is the inverse of ``letters[j:]``."""
+    letters = free_reduce(w.letters)
+    i, j = 0, len(letters)
+    while j - i > 1 and letters[i] == _INVERSE[letters[j - 1]]:
+        i += 1
+        j -= 1
+    return letters, i, j
+
+
+def cyclic_core(w: Word) -> Word:
+    """A freely and cyclically reduced conjugate of ``w``: with p the
+    stripped prefix of the freely reduced word, ``w`` equals
+    ``p * core * p^-1``."""
+    letters, i, j = _core(w)
+    return Word(w.group, tuple(letters[i:j]))
 
 
 def random_word(group: str, length: int, rng) -> Word:

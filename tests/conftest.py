@@ -6,6 +6,7 @@ from strandgroups.closure import ClosedDiagram
 from strandgroups.diagram import DEAD
 from strandgroups.rewrite import _redex_at, find_redexes
 from strandgroups.trees import LEAF, TreePair
+from strandgroups.words import Word, commutator, parse_word
 
 
 @pytest.fixture
@@ -72,3 +73,23 @@ def reduce_random(g, rng):
             if hit is not None:
                 pairs.append((a // 3, hit[1], hit[0]))
     return g
+
+
+# F's two defining relators, which hold in T and V too
+RELATORS = (
+    commutator(parse_word("x0 X1"), parse_word("X0 x1 x0")),
+    commutator(parse_word("x0 X1"), parse_word("X0^2 x1 x0^2")),
+)
+
+
+def with_relators(w: Word, count: int, rng) -> Word:
+    """``w`` with ``count`` relators or their inverses inserted at random
+    places: the same element, but ``w * result^-1`` does not freely reduce
+    to the empty word."""
+    letters = list(w.letters)
+    for _ in range(count):
+        r = rng.choice(RELATORS)
+        r = r if rng.random() < 0.5 else r.inverse()
+        i = rng.randrange(len(letters) + 1)
+        letters[i:i] = r.letters
+    return Word(w.group, tuple(letters))

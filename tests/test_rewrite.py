@@ -34,7 +34,7 @@ from strandgroups.rewrite import (
 from strandgroups.trees import LEAF, TreePair, antichain, comb, identity_pair
 from strandgroups.words import GENERATOR_PAIRS, parse_word, random_word, reduced_diagram, word_to_diagram
 
-from conftest import random_tree_pair, reduce_random
+from conftest import random_tree_pair, reduce_random, with_relators
 
 
 def _split_merge(crossed: bool) -> StrandDiagram:
@@ -238,16 +238,19 @@ def test_redex_checks_are_linear_in_the_input(monkeypatch, rng, group, close):
             reduce_diagram(g, stats=stats)
             assert calls[0] <= n + 3 * stats.moves
             assert find_redexes(g) == []
+        # w * v^-1 is the identity, but relators keep it from cancelling freely
+        ws = (w, with_relators(w, 1 + len(w.letters) // 40, rng).inverse())
+        letters = sum(len(u.letters) for u in ws)
         trace = []
         calls[0] = 0
-        reduced_diagram(w, w.inverse(), trace=trace)
-        assert calls[0] <= 2 * len(w.letters) + 2 * len(trace)
-        reduced_diagram(w, w.inverse())  # fills the templates of its blocks
+        reduced_diagram(*ws, trace=trace)
+        assert calls[0] <= letters + 2 * len(trace)
+        reduced_diagram(*ws)  # fills the templates of its blocks
         calls[0] = moves[0] = 0
-        reduced_diagram(w, w.inverse())
-        blocks = -(-2 * len(w.letters) // k)
+        reduced_diagram(*ws)
+        blocks = -(-letters // k)
         assert calls[0] <= blocks + 3 * moves[0]
-        assert moves[0] <= len(trace)
+        assert 0 < moves[0] <= len(trace)
 
 
 def test_trace_records_moves():

@@ -1,20 +1,35 @@
 """The streamed builder ``reduced_diagram`` against the unreduced
-reference ``word_to_diagram`` followed by ``reduce_diagram``, and the
+reference ``word_to_diagram`` followed by ``reduce_diagram``; free and
+cyclic reduction against the oracle and the pinned corpus; and the
 token-cached parser against the error positions and messages it kept."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from strandgroups import words
-from strandgroups.canonical import canonical_annular
+from strandgroups.canonical import annular_form, canonical_annular
 from strandgroups.closure import close_abstract, close_annular, close_cylindrical, reduce_closed
 from strandgroups.diagram import encode_square
 from strandgroups.errors import AlphabetError, ParseError
 from strandgroups.rewrite import reduce_diagram
-from strandgroups.toral import canonical_toral
-from strandgroups.vgroup import canonical_abstract
-from strandgroups.words import Generator, Word, parse_word, random_word, reduced_diagram, word_to_diagram
+from strandgroups.oracle import word_to_map
+from strandgroups.toral import canonical_toral, toral_form
+from strandgroups.vgroup import canonical_abstract, closed_form
+from strandgroups.words import (
+    Generator,
+    Word,
+    core_diagram,
+    cyclic_core,
+    free_reduce,
+    parse_word,
+    random_word,
+    reduced_diagram,
+    word_to_diagram,
+)
+
+from conftest import with_relators
 
 
 def _canon(group, d):
@@ -63,8 +78,11 @@ def test_streamed_product_of_several_words():
 
 def _array_sizes(monkeypatch, trace, every):
     """(slots, live vertices) as every ``every``-th cascade starts, while
-    ``w * w^-1`` streams in, for a random w of 10^4 letters in each group."""
+    ``w * v^-1`` streams in, for a random w of 10^4 letters in each group
+    and v the same element with relators inserted, which free reduction
+    cannot cancel entirely; also the moves fired."""
     seen = []
+    moves = [0]
     cascade = words.cascade
 
     def watched(d, u, trace=None):
@@ -72,32 +90,35 @@ def _array_sizes(monkeypatch, trace, every):
             seen.append((len(d.kind), d.num_vertices()))
         else:
             seen.append(None)
-        return cascade(d, u, trace)
+        fired = cascade(d, u, trace)
+        moves[0] += fired
+        return fired
 
     monkeypatch.setattr(words, "cascade", watched)
     rng = random.Random(73)
     for group in "FTV":
         seen.clear()
+        moves[0] = 0
         w = random_word(group, 10**4, rng)
-        d = reduced_diagram(w, w.inverse(), trace=trace)
+        d = reduced_diagram(w, with_relators(w, 100, rng).inverse(), trace=trace)
         assert len(d.kind) == 0 and d.is_identity()
-        yield group, [s for s in seen if s is not None]
+        yield group, [s for s in seen if s is not None], moves[0]
 
 
 def test_streamed_arrays_stay_within_twice_the_live_vertices(monkeypatch):
     # observed as each letter's cascade starts: the previous letter left at
     # most twice its live vertices, and one template (at most 6) came on top
-    for _, sizes in _array_sizes(monkeypatch, [], 97):
-        assert len(sizes) > 100
+    for _, sizes, moves in _array_sizes(monkeypatch, [], 97):
+        assert len(sizes) > 100 and moves > 0
         assert all(n <= 2 * live + 6 for n, live in sizes), max(n - 2 * live for n, live in sizes)
 
 
 def test_block_arrays_stay_within_twice_the_live_vertices(monkeypatch):
     # the same bound on the block path, with one block's template on top
-    for group, sizes in _array_sizes(monkeypatch, None, 23):
+    for group, sizes, moves in _array_sizes(monkeypatch, None, 23):
         largest = max(len(tpl[0]) for tpl in words._TEMPLATES[group == "T"].values())
         assert 6 < largest <= 12
-        assert len(sizes) > 100
+        assert len(sizes) > 100 and moves > 0
         assert all(n <= 2 * live + largest for n, live in sizes), max(n - 2 * live for n, live in sizes)
 
 
@@ -153,6 +174,73 @@ def test_identity_blocks_keep_the_sink_wrap():
     for ws in ((w,), (w, pad), (w, pad, pad, parse_word("x0", "T"))):
         d, _ = _same_by_blocks_and_letters(*ws)
         assert (d.num_vertices(), d.long.get(words.SINK)) == ((0, -3) if len(ws) < 3 else (4, None))
+
+
+def _cancels(g, h):
+    return g.symbol == h.symbol and g.sign == -h.sign
+
+
+def test_free_reduce_and_cyclic_core_keep_the_element():
+    rng = random.Random(75)
+    for i in range(600):
+        group = "FTV"[i % 3]
+        w = random_word(group, rng.randrange(0, 13), rng)
+        if i % 2:  # a conjugate, so that there is something to strip
+            g = random_word(group, rng.randrange(1, 4), rng)
+            w = g * w * g.inverse()
+        free = free_reduce(w.letters)
+        assert not any(_cancels(a, b) for a, b in zip(free, free[1:]))
+        assert word_to_map(Word(group, tuple(free))) == word_to_map(w)
+        core = cyclic_core(w)
+        k = (len(free) - len(core)) // 2
+        p = Word(group, tuple(free[:k]))
+        assert free == list((p * core * p.inverse()).letters)
+        assert len(core) < 2 or not _cancels(core.letters[0], core.letters[-1])
+        assert word_to_map(w) == word_to_map(p * core * p.inverse())
+        assert encode_square(core_diagram(w)) == encode_square(reduced_diagram(core, trace=[]))
+
+
+def test_corpus_forms_of_rotations_and_conjugates_keep_their_hex():
+    # the word-level forms start from the cyclic core, and every conjugate
+    # has the pinned bytes of the word it conjugates
+    forms = {
+        "F": annular_form,
+        "T": toral_form,
+        "V": lambda w: canonical_abstract(closed_form(w)),
+    }
+    rng = random.Random(76)
+    corpus = Path(__file__).parent / "data" / "canon_corpus.tsv"
+    changed = []
+    for line in corpus.read_text().splitlines():
+        group, family, text, expected = line.split("\t")
+        w = parse_word(text, group)
+        r = rng.randrange(len(w) + 1)
+        g = random_word(group, rng.randrange(1, 13), rng)
+        rotated = Word(group, w.letters[r:] + w.letters[:r])
+        for u in (w, rotated, g.inverse() * w * g):
+            if forms[group](u).hex() != expected:
+                changed.append((group, family, text[:40], len(u)))
+    assert not changed, changed[:5]
+
+
+def test_block_path_cancels_w_times_w_inverse(monkeypatch):
+    # free reduction leaves nothing to splice; letter by letter, moves fire
+    fired = []
+    cascade = words.cascade
+
+    def counted(d, u, trace=None):
+        fired.append(cascade(d, u, trace))
+        return fired[-1]
+
+    monkeypatch.setattr(words, "cascade", counted)
+    rng = random.Random(77)
+    for group in "FTV":
+        w = random_word(group, 1000, rng)
+        d = reduced_diagram(w, w.inverse())
+        assert len(d.kind) == 0 and d.is_identity() and sum(fired) == 0
+        reduced_diagram(w, w.inverse(), trace=[])
+        assert sum(fired) > 0
+        fired.clear()
 
 
 @pytest.mark.parametrize(
