@@ -298,21 +298,25 @@ def _alphabet(group: str) -> list[Generator]:
 
 
 def brute_conj_witness(w1: Word, w2: Word, max_len: int) -> Word | None:
-    """Breadth-first search for g with g^-1 . w1 . g == w2 (oracle equality).
+    """Search for g with g^-1 . w1 . g == w2 (oracle equality) among the
+    freely reduced words of at most ``max_len`` letters; None if none is.
 
-    Returns the first witness found (shortest, in generator order) or
-    None.  Beyond length 9 the search switches to a meet-in-the-middle
-    strategy with identical semantics; either way the cost is
-    exponential and meant for desk-scale validation only.
+    A meet-in-the-middle search finds whether there is a witness and the
+    least length L of one.  If ``max_len`` is at most 9, a breadth-first
+    search up to L then returns the first witness of length L in
+    generator order; past 9 the meet search's own witness is returned.
+    Either way the cost is exponential and meant for desk-scale
+    validation only.
     """
     if w1.group != w2.group:
         raise AlphabetError("words live in different groups")
     group = w1.group
     m1 = word_to_map(w1)
     m2 = word_to_map(w2)
-    if max_len <= 9:
-        return _witness_bfs(group, m1, m2, max_len)
-    return _witness_meet(group, m1, m2, max_len)
+    witness = _witness_meet(group, m1, m2, max_len)
+    if witness is None or max_len > 9:
+        return witness
+    return _witness_bfs(group, m1, m2, len(witness))
 
 
 def _witness_bfs(group: str, m1: PrefixMap, m2: PrefixMap, max_len: int) -> Word | None:

@@ -25,18 +25,21 @@ diagram class are all that differ by kind:
 
 ``reduce_diagram`` sweeps the vertex ids in order and runs ``cascade``
 at every vertex that tops a redex.  ``cascade`` fires the moves
-reachable from one vertex; ``words.reduced_diagram`` runs it after each
-letter it appends.  When the sweep leaves vertex u, no vertex at or
-below u tops a redex: a move creates one only at a tail that ``splice``
-returns, and ``cascade`` examines every such tail.  So one sweep reduces
-the diagram, and ``_redex_at`` runs at most |V| + 3·moves <= 2.5·|V|
-times:
+reachable from one vertex.  When the sweep leaves vertex u, no vertex at
+or below u tops a redex: a move creates one only at a tail that
+``splice`` returns, and ``cascade`` examines every such tail.  So one
+sweep reduces the diagram, and ``_redex_at`` runs at most
+|V| + 3·moves <= 2.5·|V| times:
 
     one call per swept vertex                          |V|
     one per cascade root; each root fires a move        moves
     one per tail queued, at most two per move           2·moves
 
 and moves <= |V|/2, as each move removes two vertices.
+
+The streamed square builder, ``words._seams``, runs the same cascade
+from each seam, with ``_redex_at`` and the square ``splice`` written out
+over its own arrays; the tests hold it to ``cascade`` move for move.
 """
 
 from __future__ import annotations

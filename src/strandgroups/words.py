@@ -16,6 +16,12 @@ prefix-map oracle):
 
 In T, ``c`` is realized cylindrically: the two strands that wrap around
 the cylinder carry wrap count 1.
+
+The builders read each letter once as a small integer code, 2i for
+generator i of ``GENERATOR_PAIRS`` and 2i + 1 for its inverse, so the
+inverse of code c is c ^ 1.  Free and cyclic reduction run on the codes;
+``reduced_diagram`` and ``core_diagram`` splice one precomputed template
+per block of codes and reduce each seam as it is made (``_seams``).
 """
 
 from __future__ import annotations
@@ -26,9 +32,19 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .diagram import DEAD, MERGE, StrandDiagram, from_tree_pair, identity_diagram, invert, sink_code
+from .diagram import (
+    DEAD,
+    MERGE,
+    SPLIT,
+    TYPE_I,
+    TYPE_II,
+    StrandDiagram,
+    from_tree_pair,
+    identity_diagram,
+    invert,
+    sink_code,
+)
 from .errors import AlphabetError, ParseError
-from .rewrite import cascade
 from .trees import TreePair, tree_from_antichain
 
 
@@ -115,11 +131,9 @@ def parse_word(text: str, group: str = "F") -> Word:
     is validated once, at its first occurrence, and its letters reused."""
     if group not in GROUPS:
         raise AlphabetError(f"unknown group {group!r}")
-    tokens = re.split(r"[\s*]+", text)
-    letters = {"": ()}
+    tokens = text.replace("*", " ").split()  # str.isspace() is re's \s
+    letters = {}
     for raw in dict.fromkeys(tokens):  # distinct tokens in text order
-        if raw in letters:
-            continue
         m = _TOKEN.match(raw)
         if not m:
             raise ParseError(_offset(text, raw), f"bad token {raw!r}")
@@ -161,24 +175,32 @@ def generator_diagram(g: Generator, group: str = "F") -> StrandDiagram:
     return d
 
 
+# -- letter codes (module docstring) -------------------------------------------
+
+_LETTERS = tuple(Generator(s, e) for s in GENERATOR_PAIRS for e in (1, -1))
+_CODE = {g: c for c, g in enumerate(_LETTERS)}
+
+
 # -- linear word builders: one precomputed template per block of letters -------
 
 _BLOCK = {"F": 4, "T": 4, "V": 3}  # letters per block: 4^4 F, 6^4 T, 8^3 V blocks
 
 
 class _Templates(dict):
-    """Letter tuple -> (kinds, slots, source head, sink tail, wraps, sink
+    """Code tuple -> (kinds, slots, source head, sink tail, wraps, sink
     wrap), filled on first use from one letter's square (V) or cylindrical
-    (T) diagram, or a longer block's reduced diagram (no kinds if identity)."""
+    (T) diagram, or from the diagram that ``_seams`` reduces letter by
+    letter for a longer block (no kinds if identity)."""
 
     def __init__(self, group: str):
         self.group = group
 
-    def __missing__(self, key: tuple[Generator, ...]):
+    def __missing__(self, key: tuple[int, ...]):
         if len(key) == 1:
-            d = generator_diagram(key[0], self.group)
+            d = generator_diagram(_LETTERS[key[0]], self.group)
         else:
-            d = reduced_diagram(Word(self.group, key), trace=[])
+            d = identity_diagram(cylindrical=self.group == "T")
+            _seams(d, zip(key))
         lw = d.long or {}
         tlong = tuple((h, w) for h, w in lw.items() if h >= 0 and w)
         tpl = (bytes(d.kind), tuple(d.conn), d.src_conn[0], d.snk_conn[0], tlong, lw.get(SINK, 0))
@@ -190,44 +212,149 @@ _TEMPLATES = (_Templates("V"), _Templates("T"))  # indexed by "has wrap counts"
 SINK = sink_code(0)
 
 
-def _grow(d: StrandDiagram, keys):
-    """Splice each key's template between the sink and its tail, the
-    endpoint that fed the sink; yields that tail after each splice.  The
-    sink edge's wrap count moves onto the template's source edge; an
-    identity block only adds its own wrap count to the sink edge's."""
+def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = True) -> tuple[int, int]:
+    """Splice each key's template between the sink of the (1,1)-diagram
+    ``d`` and its tail, the endpoint that fed the sink, and, if ``reduce``,
+    fire every move the seam allows; returns (moves, redex tests run).
+
+    The sink edge's wrap count moves onto the template's source edge.  A
+    reduced non-identity template starts with a split and ends with a
+    merge, so after a splice only the old tail can top a redex.  From it
+    the moves run as ``rewrite.cascade`` runs them on any diagram, with
+    ``_redex_at`` and ``StrandDiagram.splice`` written out here: the tails
+    each move reconnects are tested first in, first out, and ``trace``
+    collects the moves as (type, top, bottom).  Dead vertices at the end
+    of the arrays are dropped, the rest renumbered once they outnumber the
+    live ones, and at the end.  Identity templates are skipped; they carry
+    no wrap count, as the keys are freely reduced."""
     kind = d.kind
     conn = d.conn
+    src_conn = d.src_conn
     snk_conn = d.snk_conn
     long = d.long
     templates = _TEMPLATES[long is not None]
+    moves = examined = dead = 0
     for key in keys:
         tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[key]
         if not tk:
-            if snk_lw:
-                long[SINK] = long.get(SINK, 0) + snk_lw
             continue
         tail = snk_conn[0]
         off = len(conn)
-        kind.extend(tk)
-        conn.extend(map(off.__add__, tconn))
+        kind += tk
+        conn += map(off.__add__, tconn)
         x = x_ep + off
         y = y_ep + off
         conn[x] = tail
-        if tail >= 0:
-            conn[tail] = x
-        else:
-            d.src_conn[0] = x
         conn[y] = SINK
         snk_conn[0] = y
         if long is not None:
             carried = long.pop(SINK, 0)
-            for h, wv in tlong:
-                long[h + off] = wv
+            for h, w in tlong:
+                long[h + off] = w
             if carried:
                 long[x] = long.get(x, 0) + carried
             if snk_lw:
                 long[SINK] = snk_lw
-        yield tail
+        if tail < 0:
+            src_conn[0] = x
+            continue
+        conn[tail] = x
+        if not reduce or kind[tail // 3] != MERGE:
+            continue
+        fired = 0
+        queue = [tail // 3]
+        for u in queue:
+            k = kind[u]
+            if k == DEAD:
+                continue
+            examined += 1
+            i = 3 * u
+            if k == SPLIT:  # type I: both outputs into one merge, same wraps
+                x = conn[i + 1]
+                if (
+                    x < 0
+                    or x % 3
+                    or kind[x // 3] != MERGE
+                    or conn[i + 2] != x + 1
+                    or (long is not None and long.get(x, 0) != long.get(x + 1, 0))
+                ):
+                    continue
+                a = conn[i]
+                e = conn[x + 2]
+                if long is not None:
+                    w = long.pop(i, 0) + long.pop(x, 0) + long.pop(e, 0)
+                    long.pop(x + 1, None)
+                    if w:
+                        long[e] = w
+                if e >= 0:
+                    conn[e] = a
+                else:
+                    snk_conn[0] = a
+                if trace is not None:
+                    trace.append((TYPE_I, u, x // 3))
+                if a >= 0:
+                    conn[a] = e
+                    queue.append(a // 3)
+                else:
+                    src_conn[0] = e
+            else:  # type II: a merge's output into a split
+                x = conn[i + 2]
+                if x < 0 or x % 3 or kind[x // 3] != SPLIT:
+                    continue
+                a = conn[i]
+                b = conn[i + 1]
+                c = conn[x + 1]
+                e = conn[x + 2]
+                if long is not None:
+                    wm = long.pop(x, 0)
+                    wl = long.pop(i, 0) + wm + long.pop(c, 0)
+                    wr = long.pop(i + 1, 0) + wm + long.pop(e, 0)
+                    if wl:
+                        long[c] = wl
+                    if wr:
+                        long[e] = wr
+                if c >= 0:
+                    conn[c] = a
+                else:
+                    snk_conn[0] = a
+                if e >= 0:
+                    conn[e] = b
+                else:
+                    snk_conn[0] = b
+                if trace is not None:
+                    trace.append((TYPE_II, u, x // 3))
+                if a >= 0:
+                    conn[a] = c
+                    queue.append(a // 3)
+                else:
+                    src_conn[0] = c
+                if b >= 0:
+                    conn[b] = e
+                    queue.append(b // 3)
+                else:
+                    src_conn[0] = e
+            kind[u] = kind[x // 3] = DEAD
+            fired += 1
+        if fired:
+            moves += fired
+            dead += 2 * fired
+            n = len(kind)
+            while n and kind[n - 1] == DEAD:
+                n -= 1
+            dead -= len(kind) - n
+            del kind[n:], conn[3 * n :]
+            if 2 * dead > n:
+                d.compact()
+                dead = 0
+    if dead:
+        d.compact()
+    return moves, examined
+
+
+def _blocks(codes: list[int], i: int, j: int, k: int):
+    """``codes[i:j]`` cut lazily into tuples of k codes, the last one shorter."""
+    full = j - (j - i) % k
+    return chain(zip(*(islice(codes, i, full),) * k), (tuple(codes[full:j]),) if full < j else ())
 
 
 def word_to_diagram(w: Word) -> StrandDiagram:
@@ -237,8 +364,7 @@ def word_to_diagram(w: Word) -> StrandDiagram:
     letter.  The empty word gives the identity diagram.
     """
     d = identity_diagram(cylindrical=w.group == "T")
-    for _ in _grow(d, zip(w.letters)):
-        pass
+    _seams(d, zip(map(_CODE.__getitem__, w.letters)), reduce=False)
     return d
 
 
@@ -251,86 +377,71 @@ def reduced_diagram(w: Word, *more: Word, trace: list | None = None) -> StrandDi
     freely reduced (``free_reduce``) and spliced already reduced in blocks
     of ``_BLOCK[group]``.  With ``trace`` they are spliced one at a time as
     they stand, and ``trace`` collects as many moves as the two-step path
-    fires.  A reduced non-identity block starts with a split and ends with
-    a merge, so after a splice only the old tail can top a redex;
-    ``cascade`` fires it and all it uncovers.  Dead vertices at the end of
-    the arrays are dropped, the rest renumbered once they outnumber the
-    live ones.
+    fires.  Either way ``_seams`` reduces each seam as it is made.
     """
     for u in more:
         if u.group != w.group:
             raise AlphabetError("cannot concatenate words over different groups")
-    letters = chain(w.letters, *(u.letters for u in more))
-    if trace is None:
-        letters = free_reduce(letters)
-    return _spliced(w.group, letters, trace)
+    codes = map(_CODE.__getitem__, chain(w.letters, *(u.letters for u in more)))
+    d = identity_diagram(cylindrical=w.group == "T")
+    if trace is not None:
+        _seams(d, zip(codes), trace)
+    else:
+        codes = _free_codes(codes)
+        _seams(d, _blocks(codes, 0, len(codes), _BLOCK[w.group]))
+    return d
 
 
 def core_diagram(w: Word) -> StrandDiagram:
     """The reduced diagram of ``cyclic_core(w)``, a conjugate of ``w``, built
-    from the freely reduced letters without copying them."""
-    letters, i, j = _core(w)
-    return _spliced(w.group, islice(letters, i, j))
-
-
-def _spliced(group: str, letters, trace: list | None = None) -> StrandDiagram:
-    """The reduced diagram of ``letters``, spliced as ``reduced_diagram``
-    says: in blocks, or one at a time with ``trace``."""
-    letters = iter(letters)
-    k = 1 if trace is not None else _BLOCK[group]
-    d = identity_diagram(cylindrical=group == "T")
-    kind = d.kind
-    dead = 0
-    for tail in _grow(d, iter(lambda: tuple(islice(letters, k)), ())):
-        if tail >= 0 and kind[tail // 3] == MERGE:
-            dead += 2 * cascade(d, tail // 3, trace)
-            n = len(kind)
-            while n and kind[n - 1] == DEAD:
-                n -= 1
-            dead -= len(kind) - n
-            del kind[n:], d.conn[3 * n :]
-            if 2 * dead > n:
-                d.compact()
-                dead = 0
-    if dead:
-        d.compact()
+    in blocks from the freely reduced letters without copying them."""
+    codes, i, j = _core(w.letters)
+    d = identity_diagram(cylindrical=w.group == "T")
+    _seams(d, _blocks(codes, i, j, _BLOCK[w.group]))
     return d
 
 
 # -- free and cyclic reduction (Lyndon-Schupp, ch. I.2) ------------------------
 
-_INVERSE = {Generator(s, e): Generator(s, -e) for s in GENERATOR_PAIRS for e in (1, -1)}
+
+def _free_codes(codes) -> list[int]:
+    """``codes`` with every adjacent c, c ^ 1 pair cancelled, in one pass
+    with a stack."""
+    out = [-1]  # no code cancels it
+    push = out.append
+    pop = out.pop
+    for c in codes:
+        if out[-1] == c ^ 1:
+            pop()
+        else:
+            push(c)
+    del out[0]
+    return out
 
 
 def free_reduce(letters) -> list[Generator]:
     """``letters`` with every adjacent g g^-1 pair cancelled, in one pass
     with a stack.  The result names the same group element."""
-    out = []
-    for g in letters:
-        if out and out[-1] == _INVERSE[g]:
-            out.pop()
-        else:
-            out.append(g)
-    return out
+    return list(map(_LETTERS.__getitem__, _free_codes(map(_CODE.__getitem__, letters))))
 
 
-def _core(w: Word) -> tuple[list[Generator], int, int]:
-    """The freely reduced letters of ``w`` and the bounds i, j of its
-    cyclic core: ``letters[:i]`` is the inverse of ``letters[j:]``."""
-    letters = free_reduce(w.letters)
-    i, j = 0, len(letters)
-    while j - i > 1 and letters[i] == _INVERSE[letters[j - 1]]:
+def _core(letters) -> tuple[list[int], int, int]:
+    """The codes of the freely reduced ``letters`` and the bounds i, j of
+    its cyclic core: ``codes[:i]`` is the inverse of ``codes[j:]``."""
+    codes = _free_codes(map(_CODE.__getitem__, letters))
+    i, j = 0, len(codes)
+    while j - i > 1 and codes[i] == codes[j - 1] ^ 1:
         i += 1
         j -= 1
-    return letters, i, j
+    return codes, i, j
 
 
 def cyclic_core(w: Word) -> Word:
     """A freely and cyclically reduced conjugate of ``w``: with p the
     stripped prefix of the freely reduced word, ``w`` equals
     ``p * core * p^-1``."""
-    letters, i, j = _core(w)
-    return Word(w.group, tuple(letters[i:j]))
+    codes, i, j = _core(w.letters)
+    return Word(w.group, tuple(map(_LETTERS.__getitem__, codes[i:j])))
 
 
 def random_word(group: str, length: int, rng) -> Word:

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from strandgroups import rewrite, words
 from strandgroups.closure import ClosedDiagram
-from strandgroups.diagram import DEAD
+from strandgroups.diagram import DEAD, MERGE
 from strandgroups.rewrite import _redex_at, find_redexes
 from strandgroups.trees import LEAF, TreePair
-from strandgroups.words import Word, commutator, parse_word
+from strandgroups.words import SINK, Word, commutator, parse_word
 
 
 @pytest.fixture
@@ -93,3 +94,80 @@ def with_relators(w: Word, count: int, rng) -> Word:
         i = rng.randrange(len(letters) + 1)
         letters[i:i] = r.letters
     return Word(w.group, tuple(letters))
+
+
+def _grow(d, keys):
+    """Splice each key's template between the sink and its tail, the
+    endpoint that fed the sink; yields that tail after each splice.  The
+    sink edge's wrap count moves onto the template's source edge."""
+    kind = d.kind
+    conn = d.conn
+    snk_conn = d.snk_conn
+    long = d.long
+    templates = words._TEMPLATES[long is not None]
+    for key in keys:
+        tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[key]
+        if not tk:
+            continue
+        tail = snk_conn[0]
+        off = len(conn)
+        kind.extend(tk)
+        conn.extend(map(off.__add__, tconn))
+        x = x_ep + off
+        y = y_ep + off
+        conn[x] = tail
+        if tail >= 0:
+            conn[tail] = x
+        else:
+            d.src_conn[0] = x
+        conn[y] = SINK
+        snk_conn[0] = y
+        if long is not None:
+            carried = long.pop(SINK, 0)
+            for h, wv in tlong:
+                long[h + off] = wv
+            if carried:
+                long[x] = long.get(x, 0) + carried
+            if snk_lw:
+                long[SINK] = snk_lw
+        yield tail
+
+
+def reference_seams(d, keys, trace=None):
+    """The reference for ``words._seams``: ``_grow`` splices each template
+    and ``rewrite.cascade`` fires the moves from the old tail, through
+    ``_redex_at`` and ``StrandDiagram.splice``; returns the moves."""
+    kind = d.kind
+    moves = dead = 0
+    for tail in _grow(d, keys):
+        if tail >= 0 and kind[tail // 3] == MERGE:
+            fired = rewrite.cascade(d, tail // 3, trace)
+            moves += fired
+            dead += 2 * fired
+            n = len(kind)
+            while n and kind[n - 1] == DEAD:
+                n -= 1
+            dead -= len(kind) - n
+            del kind[n:], d.conn[3 * n :]
+            if 2 * dead > n:
+                d.compact()
+                dead = 0
+    if dead:
+        d.compact()
+    return moves
+
+
+def count_seams(monkeypatch, observe=None):
+    """Wrap ``words._seams`` so that each run appends its (moves, redex
+    tests) to the returned list; ``observe(d)`` runs before each splice."""
+    counts = []
+    seams = words._seams
+
+    def watched(d, keys, trace=None, reduce=True):
+        if observe is not None:
+            keys = (observe(d) or key for key in keys)
+        counts.append(seams(d, keys, trace, reduce))
+        return counts[-1]
+
+    monkeypatch.setattr(words, "_seams", watched)
+    return counts

@@ -1,5 +1,6 @@
 """CLI verbs, outputs and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -71,6 +72,22 @@ def test_reduce_trace(capsys):
     for line in lines[1:]:
         kind, top, bottom = line.split()
         assert kind in ("I", "II") and top.isdigit() and bottom.isdigit()
+
+
+@pytest.mark.parametrize(
+    "group, lines, digest",
+    [
+        ("F", 2360, "a1683c4c1901c67475c13264fc3005e69c7fa5e6299b5562aed14ed177ff6577"),
+        ("T", 2003, "60e0b4038044024b8513e044df4dba7ae6133361c2efc28bdad310f8d578baf2"),
+        ("V", 1974, "33a7849ce3681905317fa5ba42f1c67aff6e77445350aa93a1c1ac5a350ff9f2"),
+    ],
+)
+def test_reduce_trace_keeps_its_moves_in_order(capsys, group, lines, digest):
+    # the moves of a seeded 10^3-letter word, pinned in the order they fire
+    w = random_word(group, 1000, random.Random(81))
+    code, out, _ = run(capsys, "reduce", "-g", group, "--trace", word_to_text(w))
+    assert code == 0 and len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_rotnum(capsys):

@@ -8,6 +8,7 @@ import pytest
 from strandgroups.oracle import (
     PrefixMap,
     _posword_indices,
+    _witness_bfs,
     brute_conj_witness,
     compose,
     equals_identity,
@@ -143,6 +144,26 @@ def test_witness_simple_conjugate():
 
 def test_witness_none_for_x0_x1():
     assert brute_conj_witness(parse_word("x0"), parse_word("x1"), 6) is None
+
+
+def test_witness_is_the_first_in_generator_order():
+    # the meet search only decides whether to search breadth first and how
+    # far; the witness is the one the breadth-first search alone returns
+    rng = random.Random(83)
+    found = 0
+    for i in range(90):
+        group = "FTV"[i % 3]
+        w1 = random_word(group, rng.randrange(0, 6), rng)
+        g = random_word(group, rng.randrange(0, 4), rng)
+        w2 = g.inverse() * w1 * g if i % 2 else random_word(group, rng.randrange(0, 6), rng)
+        wit = brute_conj_witness(w1, w2, 3)
+        assert wit == _witness_bfs(group, word_to_map(w1), word_to_map(w2), 3)
+        found += wit is not None
+    assert 0 < found < 90
+    # a pair on which the meet search alone returns c x0^-1
+    w1 = parse_word("c^-1 x1^-1 c", "T")
+    w2 = parse_word("x0 c^-1 c^-1 x1^-1 c c x0^-1", "T")
+    assert word_to_text(brute_conj_witness(w1, w2, 6)) == "x1^-1 x0^-1"
 
 
 def test_witness_soundness(rng):

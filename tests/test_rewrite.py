@@ -34,7 +34,7 @@ from strandgroups.rewrite import (
 from strandgroups.trees import LEAF, TreePair, antichain, comb, identity_pair
 from strandgroups.words import GENERATOR_PAIRS, parse_word, random_word, reduced_diagram, word_to_diagram
 
-from conftest import random_tree_pair, reduce_random, with_relators
+from conftest import count_seams, random_tree_pair, reduce_random, with_relators
 
 
 def _split_merge(crossed: bool) -> StrandDiagram:
@@ -213,21 +213,14 @@ def test_redex_checks_are_linear_in_the_input(monkeypatch, rng, group, close):
     # at most two tails per move; the streamed builder one tail per letter,
     # or per block of letters, whose template comes already reduced
     calls = [0]
-    moves = [0]
     redex_at = rewrite._redex_at
-    cascade = words.cascade
 
     def counted(g, u):
         calls[0] += 1
         return redex_at(g, u)
 
-    def counted_moves(g, u, trace=None):
-        fired = cascade(g, u, trace)
-        moves[0] += fired
-        return fired
-
     monkeypatch.setattr(rewrite, "_redex_at", counted)
-    monkeypatch.setattr(words, "cascade", counted_moves)
+    counts = count_seams(monkeypatch)
     k = words._BLOCK[group]
     for _ in range(30):
         w = random_word(group, rng.randrange(0, 400), rng)
@@ -242,15 +235,14 @@ def test_redex_checks_are_linear_in_the_input(monkeypatch, rng, group, close):
         ws = (w, with_relators(w, 1 + len(w.letters) // 40, rng).inverse())
         letters = sum(len(u.letters) for u in ws)
         trace = []
-        calls[0] = 0
         reduced_diagram(*ws, trace=trace)
-        assert calls[0] <= letters + 2 * len(trace)
-        reduced_diagram(*ws)  # fills the templates of its blocks
-        calls[0] = moves[0] = 0
+        moves, examined = counts[-1]
+        assert 0 < examined <= letters + 2 * len(trace) and moves == len(trace)
         reduced_diagram(*ws)
+        moves, examined = counts[-1]
         blocks = -(-letters // k)
-        assert calls[0] <= blocks + 3 * moves[0]
-        assert 0 < moves[0] <= len(trace)
+        assert 0 < examined <= blocks + 3 * moves
+        assert 0 < moves <= len(trace)
 
 
 def test_trace_records_moves():

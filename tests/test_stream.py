@@ -1,14 +1,18 @@
 """The streamed builder ``reduced_diagram`` against the unreduced
-reference ``word_to_diagram`` followed by ``reduce_diagram``; free and
-cyclic reduction against the oracle and the pinned corpus; and the
-token-cached parser against the error positions and messages it kept."""
+reference ``word_to_diagram`` followed by ``reduce_diagram``, and its
+seam kernel against the loop it replaced (``conftest.reference_seams``);
+free and cyclic reduction against the oracle and the pinned corpus; and
+the token-cached parser against the error positions and messages it
+kept."""
 
 import random
+import re
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from strandgroups import words
+from strandgroups import rewrite, words
 from strandgroups.canonical import annular_form, canonical_annular
 from strandgroups.closure import close_abstract, close_annular, close_cylindrical, reduce_closed
 from strandgroups.diagram import encode_square
@@ -18,6 +22,7 @@ from strandgroups.oracle import word_to_map
 from strandgroups.toral import canonical_toral, toral_form
 from strandgroups.vgroup import canonical_abstract, closed_form
 from strandgroups.words import (
+    ALPHABETS,
     Generator,
     Word,
     core_diagram,
@@ -29,7 +34,7 @@ from strandgroups.words import (
     word_to_diagram,
 )
 
-from conftest import with_relators
+from conftest import count_seams, reference_seams, with_relators
 
 
 def _canon(group, d):
@@ -77,37 +82,30 @@ def test_streamed_product_of_several_words():
 
 
 def _array_sizes(monkeypatch, trace, every):
-    """(slots, live vertices) as every ``every``-th cascade starts, while
+    """(slots, live vertices) before every ``every``-th splice, while
     ``w * v^-1`` streams in, for a random w of 10^4 letters in each group
     and v the same element with relators inserted, which free reduction
     cannot cancel entirely; also the moves fired."""
     seen = []
-    moves = [0]
-    cascade = words.cascade
 
-    def watched(d, u, trace=None):
-        if len(seen) % every == 0:
-            seen.append((len(d.kind), d.num_vertices()))
-        else:
-            seen.append(None)
-        fired = cascade(d, u, trace)
-        moves[0] += fired
-        return fired
+    def observe(d):
+        seen.append((len(d.kind), d.num_vertices()) if len(seen) % every == 0 else None)
 
-    monkeypatch.setattr(words, "cascade", watched)
+    counts = count_seams(monkeypatch, observe)
     rng = random.Random(73)
     for group in "FTV":
         seen.clear()
-        moves[0] = 0
         w = random_word(group, 10**4, rng)
         d = reduced_diagram(w, with_relators(w, 100, rng).inverse(), trace=trace)
         assert len(d.kind) == 0 and d.is_identity()
-        yield group, [s for s in seen if s is not None], moves[0]
+        moves, examined = counts[-1]
+        assert examined > 0
+        yield group, [s for s in seen if s is not None], moves
 
 
 def test_streamed_arrays_stay_within_twice_the_live_vertices(monkeypatch):
-    # observed as each letter's cascade starts: the previous letter left at
-    # most twice its live vertices, and one template (at most 6) came on top
+    # observed before each letter's splice: the letters before it left at
+    # most twice their live vertices, and one template (at most 6) comes on top
     for _, sizes, moves in _array_sizes(monkeypatch, [], 97):
         assert len(sizes) > 100 and moves > 0
         assert all(n <= 2 * live + 6 for n, live in sizes), max(n - 2 * live for n, live in sizes)
@@ -225,22 +223,73 @@ def test_corpus_forms_of_rotations_and_conjugates_keep_their_hex():
 
 def test_block_path_cancels_w_times_w_inverse(monkeypatch):
     # free reduction leaves nothing to splice; letter by letter, moves fire
-    fired = []
-    cascade = words.cascade
-
-    def counted(d, u, trace=None):
-        fired.append(cascade(d, u, trace))
-        return fired[-1]
-
-    monkeypatch.setattr(words, "cascade", counted)
+    counts = count_seams(monkeypatch)
     rng = random.Random(77)
     for group in "FTV":
         w = random_word(group, 1000, rng)
         d = reduced_diagram(w, w.inverse())
-        assert len(d.kind) == 0 and d.is_identity() and sum(fired) == 0
+        assert len(d.kind) == 0 and d.is_identity() and counts[-1] == (0, 0)
         reduced_diagram(w, w.inverse(), trace=[])
-        assert sum(fired) > 0
-        fired.clear()
+        assert counts[-1][0] > 0
+
+
+def test_seam_kernel_matches_the_reference_loop(monkeypatch):
+    # the kernel against ``_grow`` and ``rewrite.cascade``: the same arrays
+    # and wraps, the same moves in the same order, as many redex tests
+    counts = count_seams(monkeypatch)
+    kernel = words._seams
+    redex_at = rewrite._redex_at
+    tests = [0]
+
+    def counted(g, u):
+        tests[0] += 1
+        return redex_at(g, u)
+
+    def reference(d, keys, trace=None):
+        tests[0] = 0
+        counts.append((reference_seams(d, keys, trace), tests[0]))
+        return counts[-1]
+
+    monkeypatch.setattr(rewrite, "_redex_at", counted)
+    rng = random.Random(78)
+    cases = [(random_word(group, 10**4, rng),) for group in "FTV"]
+    for i in range(150):
+        w = random_word("FTV"[i % 3], rng.randrange(0, 301), rng)
+        cases += [(w,), (w, with_relators(w, 1 + len(w) // 40, rng).inverse())]
+    total = [0, 0]
+    for ws in cases:
+        for trace in (None, []):
+            built = []
+            for seams in (kernel, reference):  # the kernel fills the templates
+                monkeypatch.setattr(words, "_seams", seams)
+                t = None if trace is None else []
+                d = reduced_diagram(*ws, trace=t)
+                built.append((bytes(d.kind), d.conn, d.src_conn, d.snk_conn, d.long, t, counts[-1]))
+            assert built[0] == built[1]
+            total = [a + b for a, b in zip(total, counts[-1])]
+    assert total[0] > 0 and total[1] > 0
+
+
+def test_identity_templates_carry_no_wrap():
+    # every key the block path meets is freely reduced; the identity
+    # templates among them leave the sink edge's wrap count as it is
+    identities = []
+    for group in "FTV":
+        templates = words._TEMPLATES[group == "T"]
+        codes = [c for c, g in enumerate(words._LETTERS) if g.symbol in ALPHABETS[group]]
+        for n in range(2, words._BLOCK[group] + 1):
+            for key in product(codes, repeat=n):
+                if any(a == b ^ 1 for a, b in zip(key, key[1:])):
+                    continue
+                kinds, _, _, _, _, sink_wrap = templates[key]
+                if not kinds:
+                    identities.append((group, key))
+                    assert sink_wrap == 0, (group, key)
+    pi0 = Generator("pi0", 1)
+    assert [(g, [words._LETTERS[c] for c in key]) for g, key in identities] == [
+        ("V", [pi0, pi0]),
+        ("V", [pi0.inverse(), pi0.inverse()]),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +316,21 @@ def test_parse_errors_keep_positions_and_messages(text, group, position, message
         parse_word(text, group)
     assert str(exc.value) == message
     assert getattr(exc.value, "position", None) == position
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " * ", "x0", "x0*x1", " x0**X1^2* ", "*x0 *\tx1^-2\n", "x0\xa0x1\u2003X0", "x1\x1cx0\x85c", "\u3000pi0\r\n\x0bx0\x0c"],
+)
+def test_parse_tokens_split_where_the_regex_splits(text):
+    tokens = [t for t in re.split(r"[\s*]+", text) if t]
+    assert parse_word(text, "V").letters == sum((parse_word(t, "V").letters for t in tokens), ())
+
+
+def test_regex_whitespace_is_str_isspace():
+    # parse_word splits with str.split(), error positions come from re's \s
+    text = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
 
 
 def test_parse_repeated_tokens_and_cheap_inverse():
