@@ -345,31 +345,43 @@ def _conjugators(group: str, length: int) -> tuple[tuple[tuple[Generator, ...], 
 
 
 def _witness_meet(group: str, m1: PrefixMap, m2: PrefixMap, max_len: int) -> Word | None:
-    gens = _alphabet(group)
+    """A witness g = g1 g2 of least length, met between the conjugates
+    g1^-1 m1 g1 (g1 grown at its end) and g2 m2 g2^-1 (g2 grown at its
+    start).  Either way the new letter goes on the outside, so a layer's
+    conjugate depends only on the previous one and that letter, and a
+    layer may keep one word per conjugate: it still holds, or a shallower
+    layer does, the conjugate of every freely reduced word of its length.
+    The first total met is thus the least length of a witness, and the
+    word met there is freely reduced."""
+    gens = [(g, g.inverse(), generator_map(g), generator_map(g.inverse()))
+            for g in _alphabet(group)]
     h1 = (max_len + 1) // 2
     h2 = max_len // 2
 
-    def cones(m, conjugate_left: bool, depth: int):
-        # layers[l] maps canonical conjugate -> word achieving it
+    def cones(m, at_end: bool, depth: int):
+        # layers[l] maps canonical conjugate -> word of l letters achieving it
         layers = [{(m.domain, m.range_, m.perm): ()}]
-        frontier = [((), identity_map(), m)]
+        frontier = [((), m)]
         for _ in range(depth):
             nxt = []
             seen = {}
-            for letters, gm, conj in frontier:
-                for g in gens:
-                    if letters and letters[-1] == g.inverse():
-                        continue
-                    gm2 = compose(gm, generator_map(g))
-                    if conjugate_left:  # g^-1 m g
-                        c2 = compose(compose(invert_map(gm2), m), gm2)
-                    else:  # g m g^-1
-                        c2 = compose(compose(gm2, m), invert_map(gm2))
+            for letters, conj in frontier:
+                for g, g_inv, gm, gm_inv in gens:
+                    if at_end:  # (w g)^-1 m (w g) = g^-1 conj g
+                        if letters and letters[-1] == g_inv:
+                            continue
+                        word = letters + (g,)
+                        c2 = compose(compose(gm_inv, conj), gm)
+                    else:  # (g w) m (g w)^-1 = g conj g^-1
+                        if letters and letters[0] == g_inv:
+                            continue
+                        word = (g,) + letters
+                        c2 = compose(compose(gm, conj), gm_inv)
                     key = (c2.domain, c2.range_, c2.perm)
                     if key not in seen:
-                        seen[key] = letters + (g,)
-                        nxt.append((letters + (g,), gm2, c2))
-            layers.append({k: w for (k, w) in seen.items()})
+                        seen[key] = word
+                        nxt.append((word, c2))
+            layers.append(seen)
             frontier = nxt
         return layers
 

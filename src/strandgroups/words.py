@@ -269,15 +269,12 @@ def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = Tru
                 continue
             examined += 1
             i = 3 * u
-            if k == SPLIT:  # type I: both outputs into one merge, same wraps
+            if k == SPLIT:  # type I: both outputs into one merge, in order
+                # in this order the two edges of a square diagram cannot
+                # differ in wraps (lifted to the strip they would cross),
+                # so _redex_at's wrap test is left out
                 x = conn[i + 1]
-                if (
-                    x < 0
-                    or x % 3
-                    or kind[x // 3] != MERGE
-                    or conn[i + 2] != x + 1
-                    or (long is not None and long.get(x, 0) != long.get(x + 1, 0))
-                ):
+                if x < 0 or x % 3 or kind[x // 3] != MERGE or conn[i + 2] != x + 1:
                     continue
                 a = conn[i]
                 e = conn[x + 2]

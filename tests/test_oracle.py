@@ -160,10 +160,26 @@ def test_witness_is_the_first_in_generator_order():
         assert wit == _witness_bfs(group, word_to_map(w1), word_to_map(w2), 3)
         found += wit is not None
     assert 0 < found < 90
-    # a pair on which the meet search alone returns c x0^-1
-    w1 = parse_word("c^-1 x1^-1 c", "T")
-    w2 = parse_word("x0 c^-1 c^-1 x1^-1 c c x0^-1", "T")
-    assert word_to_text(brute_conj_witness(w1, w2, 6)) == "x1^-1 x0^-1"
+    # a pair on which the meet search alone returns c c x0^-1
+    w1 = parse_word("x0 x1", "T")
+    w2 = parse_word("x0 c^-1 c^-1 x0 x1 c c x0^-1", "T")
+    assert word_to_text(brute_conj_witness(w1, w2, 3)) == "x0 c^-1 c^-1"
+
+
+@pytest.mark.parametrize(
+    "g, max_len",
+    [
+        ("x1 x1 x0^-1 x1", 4),
+        ("x1 x1 x1 x0^-1 x1 x1", 6),
+        ("x1 x1 x1 x1 x1 x0^-1 x1 x1 x1 x1", 10),
+    ],
+)
+def test_witness_found_at_full_length(g, max_len):
+    # a cone that grows g2 in g2 m2 g2^-1 at its inside end and keeps one
+    # word per conjugate found no witness for these pairs
+    gw = parse_word(g)
+    wit = brute_conj_witness(gw * parse_word("x0") * gw.inverse(), parse_word("x0"), max_len)
+    assert wit is not None and word_to_text(wit) == g
 
 
 def test_witness_soundness(rng):
