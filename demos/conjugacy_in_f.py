@@ -18,16 +18,13 @@ from strandgroups import (
     parse_word,
     random_word,
     reduce_closed,
-    reduce_diagram,
+    reduced_diagram,
     ring_decomposition,
-    word_to_diagram,
     word_to_text,
 )
 
 print("== the annular diagram of x0 ==")
-d = word_to_diagram(parse_word("x0"))
-reduce_diagram(d)
-a = reduce_closed(close_annular(d))
+a = reduce_closed(close_annular(reduced_diagram(parse_word("x0"))))
 for ring in ring_decomposition(a):
     if ring.kind == "free":
         print(f"ring {ring.radial_index}: free loop")

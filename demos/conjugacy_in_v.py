@@ -12,11 +12,10 @@ only.
 
 import random
 
+from strandgroups.diagram import OUT_SLOTS
 from strandgroups import (
     canonical_abstract,
     closed_form,
-    cut_cochain,
-    cohomology_equivalent,
     is_conjugate_v,
     parse_word,
     random_word,
@@ -41,21 +40,29 @@ for s in ("pi0", "x0^-1 pi0 x0", "x0", "x1^-1 x0 x1"):
     print(f"{s!r}: {canonical_abstract(closed_form(parse_word(s, 'V'))).blob.decode()}")
 
 print("\n== the cutting class is only defined up to coboundaries ==")
+# Pushing the cutting loop across a vertex v takes one cut off each edge
+# out of v and adds one to each edge into it: the cut counts change by the
+# coboundary of a potential that is 1 at v.  The V form reads cut counts
+# only, never their positions, so the added cuts carry a dummy position.
 c = closed_form(parse_word("x0 pi0", "V"))
-base = cut_cochain(c)
-rng = random.Random(5)
-f = {v: rng.randrange(-2, 3) for v in c.live_vertices()}
-shifted = dict(base)
-for tail, head in c.edges():
-    shifted[head] += f[head // 3] - f[tail // 3]
-print(f"cochain shifted by a coboundary stays equivalent: "
-      f"{cohomology_equivalent(c, base, shifted)}")
+v = next(v for v in c.live_vertices()
+         if all(c.cuts.get(c.conn[3 * v + s]) for s in OUT_SLOTS[c.kind[v]]))
+pushed = c.copy()
+for s in range(3):
+    if s in OUT_SLOTS[c.kind[v]]:
+        pushed.cuts[pushed.conn[3 * v + s]].pop()
+    else:
+        pushed.cuts.setdefault(3 * v + s, []).append(())
+counts = [(len(c.cuts.get(h, ())), len(pushed.cuts.get(h, ()))) for _, h in c.edges()]
+print(f"cut counts per edge, before and after pushing across vertex {v}: {counts}")
+print(f"same canonical bytes: {canonical_abstract(c) == canonical_abstract(pushed)}")
 loops = closed_form(parse_word("pi0", "V"))
-w1 = cut_cochain(loops)
-w2 = dict(w1)
-w2[("loop", 0)] += 1
-print(f"bumping a free loop's weight breaks equivalence: "
-      f"{cohomology_equivalent(loops, w1, w2)}")
+bumped = loops.copy()
+bumped.free_loops[0].cuts.append(())
+print(f"bumping a free loop's weight changes the bytes: "
+      f"{canonical_abstract(loops) != canonical_abstract(bumped)}")
+
+rng = random.Random(5)
 
 print("\n== torsion elements keep their order under conjugation ==")
 for _ in range(3):

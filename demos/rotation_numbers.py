@@ -17,10 +17,9 @@ from strandgroups import (
     parse_word,
     random_word,
     reduce_closed,
-    reduce_diagram,
+    reduced_diagram,
     rotation_number,
     torsion_witness,
-    word_to_diagram,
     word_to_text,
 )
 
@@ -35,10 +34,7 @@ for s in ("x0", "x1 x0^-1", "x0 x1 x1"):
     print(f"rot({s!r}) = {rotation_number(parse_word(s, 'T'))}")
 
 print("\n== Dehn twists do not change the diagram ==")
-w = parse_word("c x1", "T")
-d = word_to_diagram(w)
-reduce_diagram(d)
-t = reduce_closed(close_cylindrical(d, 0))
+t = reduce_closed(close_cylindrical(reduced_diagram(parse_word("c x1", "T")), 0))
 twisted = dehn_twist(t.copy(), 3)
 print(f"canonical(t) == canonical(twist^3 t): {canonical_toral(t) == canonical_toral(twisted)}")
 

@@ -2,7 +2,8 @@
 """Walkthrough: deciding the word problem in Thompson's group F.
 
 A word over {x0, x1} becomes a strand diagram by stacking generator
-diagrams; rewriting cancels split/merge pairs until no move applies.
+diagrams; rewriting cancels split/merge pairs as each generator is
+stacked, until no move applies.
 The word is trivial exactly when everything cancels.  The exact
 prefix-map oracle checks every verdict independently.
 """
@@ -14,8 +15,7 @@ from strandgroups import (
     find_redexes,
     parse_word,
     random_word,
-    reduce_diagram,
-    word_to_diagram,
+    reduced_diagram,
     word_to_map,
     word_to_text,
 )
@@ -23,27 +23,23 @@ from strandgroups.words import commutator
 
 print("== building and reducing ==")
 w = parse_word("x0 x1 x1^-1 x0^-1")
-d = word_to_diagram(w)
-print(f"word: {word_to_text(w)}")
-print(f"unreduced diagram: {d.num_vertices()} vertices")
 trace = []
-reduce_diagram(d, trace=trace)
-print(f"moves fired: {[(k, t, b) for k, t, b in trace]}")
+d = reduced_diagram(w, trace=trace)
+print(f"word: {word_to_text(w)}")
+print(f"moves fired (type, top, bottom): {trace}")
 print(f"reduced to identity: {d.is_identity()}")
 
 print("\n== the defining relations of F collapse ==")
 r1 = commutator(parse_word("x0 x1^-1"), parse_word("x0^-1 x1 x0"))
 r2 = commutator(parse_word("x0 x1^-1"), parse_word("x0^-2 x1 x0^2"))
 for i, r in enumerate((r1, r2), 1):
-    d = word_to_diagram(r)
-    before = d.num_vertices()
-    reduce_diagram(d)
-    print(f"relation {i}: {before} vertices -> identity: {d.is_identity()}")
+    trace = []
+    d = reduced_diagram(r, trace=trace)
+    print(f"relation {i}: {len(r.letters)} letters, {len(trace)} moves -> identity: {d.is_identity()}")
 
 print("\n== a non-trivial word stays non-trivial ==")
 w = parse_word("x0 x1")
-d = word_to_diagram(w)
-reduce_diagram(d)
+d = reduced_diagram(w)
 print(f"{word_to_text(w)}: {d.num_vertices()} vertices remain, redexes: {find_redexes(d)}")
 
 print("\n== oracle agreement on random words ==")
@@ -51,8 +47,6 @@ rng = random.Random(1)
 agree = 0
 for _ in range(200):
     w = random_word("F", rng.randrange(0, 20), rng)
-    d = word_to_diagram(w)
-    reduce_diagram(d)
-    if d.is_identity() == equals_identity(word_to_map(w)):
+    if reduced_diagram(w).is_identity() == equals_identity(word_to_map(w)):
         agree += 1
 print(f"diagram verdict == prefix-map verdict on {agree}/200 random words")

@@ -18,7 +18,7 @@ from .diagram import (
     invert,
     vine,
 )
-from .trees import TreePair, identity_pair
+from .trees import TreePair
 from .words import (
     Generator,
     Word,
@@ -33,10 +33,8 @@ from .words import (
 from .rewrite import (
     Redex,
     ReductionStats,
-    apply_redex,
     find_redexes,
     reduce_diagram,
-    to_tree_pair,
 )
 from .closure import (
     ClosedDiagram,
@@ -62,8 +60,6 @@ from .toral import (
 from .vgroup import (
     canonical_abstract,
     closed_form,
-    cohomology_equivalent,
-    cut_cochain,
     is_conjugate_v,
     torsion_check,
 )
@@ -82,7 +78,6 @@ from .oracle import (
 __all__ = [
     "StrandDiagram",
     "TreePair",
-    "identity_pair",
     "concatenate",
     "conjugate_by_vine",
     "from_tree_pair",
@@ -100,11 +95,9 @@ __all__ = [
     "word_to_text",
     "Redex",
     "ReductionStats",
-    "apply_redex",
     "encode_square",
     "find_redexes",
     "reduce_diagram",
-    "to_tree_pair",
     "ClosedDiagram",
     "FreeLoop",
     "Ring",
@@ -127,8 +120,6 @@ __all__ = [
     "torsion_witness",
     "canonical_abstract",
     "closed_form",
-    "cohomology_equivalent",
-    "cut_cochain",
     "is_conjugate_v",
     "torsion_check",
     "PrefixMap",

@@ -53,13 +53,12 @@ from .words import Word, core_diagram
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
     blob: bytes
-    summary: tuple = ()
 
     def hex(self) -> str:
         return self.blob.hex()
 
     def __repr__(self):
-        return f"CanonicalForm({self.blob.hex()[:24]}..., summary={self.summary})"
+        return f"CanonicalForm({self.blob.hex()[:24]}...)"
 
 
 def _pieces(c: ClosedDiagram, root: int, with_weights: bool, queue: list | None = None):
@@ -231,15 +230,11 @@ def canonical_annular(a: ClosedDiagram) -> CanonicalForm:
     """
     rings = reduced_structure(a).checked_rings()
     parts = [b"A%d" % len(rings)]
-    pattern = []
     for ring in rings:
         # free loops are a fixed token; a component minimizes over the
         # vertices of its innermost directed cycle
-        free = ring.kind == "free"
-        parts.append(b"F" if free else min_encoding(a, ring.cycles[0].vertices))
-        pattern.append(1 if free else 0)
-    blob = b"|".join(parts)
-    return CanonicalForm(blob, (len(rings), a.num_vertices(), tuple(pattern)))
+        parts.append(b"F" if ring.kind == "free" else min_encoding(a, ring.cycles[0].vertices))
+    return CanonicalForm(b"|".join(parts))
 
 
 def annular_form(w: Word) -> CanonicalForm:

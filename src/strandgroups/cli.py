@@ -114,10 +114,9 @@ def _cmd_export(args) -> int:
 def _cmd_bench(args) -> int:
     if args.bench_verb != "reduce":
         raise AlphabetError(f"unknown bench target {args.bench_verb!r}")
-    lengths = sorted(int(x) for x in args.lengths.split(","))
     rng = random.Random(args.seed)
     print("# N build_s reduce_s total_s vertices_before vertices_after stream_s stream_slots")
-    for n in lengths:
+    for n in args.lengths:
         w = random_word(args.group, n, rng)
         t0 = time.perf_counter()
         d = word_to_diagram(w)
@@ -149,6 +148,28 @@ def _word_text(arg: str) -> str:
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"cannot read {arg[1:]!r}: {exc.strerror}") from exc
     return arg
+
+
+def _lengths(text: str) -> list[int]:
+    """``--lengths``: comma-separated positive integers, returned sorted."""
+    try:
+        lengths = sorted(int(x) for x in text.split(","))
+    except ValueError:
+        lengths = [0]
+    if lengths[0] < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+    return lengths
+
+
+def _max_len(text: str) -> int:
+    """``--max-len``: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     oe.set_defaults(func=_cmd_oracle)
     oc = osub.add_parser("conj")
     add_group(oc)
-    oc.add_argument("--max-len", type=int, default=6)
+    oc.add_argument("--max-len", type=_max_len, default=6)
     add_words(oc, "word1", "word2")
     oc.set_defaults(func=_cmd_oracle)
 
@@ -206,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = sp.add_subparsers(dest="bench_verb", required=True)
     br = bsub.add_parser("reduce")
     add_group(br)
-    br.add_argument("--lengths", default="1000,10000,100000")
+    br.add_argument("--lengths", type=_lengths, default="1000,10000,100000")
     br.add_argument("--seed", type=int, default=0)
     br.set_defaults(func=_cmd_bench)
 

@@ -41,9 +41,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .diagram import (
-    DEAD, MERGE, OUT_SLOTS, SPLIT, TYPE_I, StrandDiagram, cyclic_vertex, sink_code, sink_index,
-)
+from .diagram import DEAD, MERGE, OUT_SLOTS, SPLIT, TYPE_I, StrandDiagram, sink_code, sink_index
 from .errors import ArityMismatch, NotReduced, StructureViolation
 from .rewrite import find_redexes, reduce_diagram
 
@@ -159,22 +157,6 @@ class ClosedDiagram:
         self.kind[u] = DEAD
         self.kind[v] = DEAD
         return touched
-
-    def validate_positive(self) -> None:
-        """Every directed cycle must have positive total meridian weight.
-
-        Works on unreduced diagrams too: since cut counts are never
-        negative, a nonpositive cycle is a cycle of cut-free edges, so
-        it suffices that the zero-weight subgraph is acyclic.
-        """
-        bad = cyclic_vertex(self.kind, self.conn, lambda head: not self.cuts.get(head))
-        if bad is not None:
-            raise StructureViolation(
-                f"directed cycle with zero winding through vertex {bad}"
-            )
-        for f in self.free_loops:
-            if len(f.cuts) <= 0:
-                raise StructureViolation("free loop with nonpositive winding")
 
 
 def cutting_sequence(c: ClosedDiagram):

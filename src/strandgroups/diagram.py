@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, compress, repeat
 
-from .errors import ArityMismatch, BoundaryMismatch, CyclicGraph, DanglingPort
+from .errors import ArityMismatch
 from .trees import TreePair
 
 SPLIT = 0
@@ -216,66 +216,6 @@ class StrandDiagram:
             moved = {h - shift[h // 3]: w for h, w in self.long.items()}
             self.long.clear()
             self.long.update(moved)
-
-    # -- validation ------------------------------------------------------
-
-    def validate(self) -> None:
-        """Raise if any structural invariant fails; no return value."""
-        if self.m < 1 or self.n < 1:
-            raise BoundaryMismatch("need at least one source and one sink")
-        kind = self.kind
-        conn = self.conn
-        if 3 * len(kind) != len(conn):
-            raise DanglingPort("slot table length mismatch")
-
-        def check_endpoint(e, here):
-            if e == TOMB:
-                raise DanglingPort(f"endpoint {here} is unconnected")
-            if e >= 0:
-                v = e // 3
-                if v >= len(kind) or kind[v] == DEAD:
-                    raise DanglingPort(f"endpoint {here} points at removed vertex {v}")
-            elif is_source_code(e):
-                if source_index(e) >= self.m:
-                    raise BoundaryMismatch(f"endpoint {here} names source {source_index(e)}")
-            elif sink_index(e) >= self.n:
-                raise BoundaryMismatch(f"endpoint {here} names sink {sink_index(e)}")
-            if self.read_conn(e) != here:
-                raise DanglingPort(f"connection {here} <-> {e} is not mutual")
-            if self.is_tail(e) == self.is_tail(here):
-                raise DanglingPort(f"edge {here} <-> {e} lacks a direction")
-
-        for i, peer in enumerate(self.src_conn):
-            check_endpoint(peer, source_code(i))
-        for i, peer in enumerate(self.snk_conn):
-            check_endpoint(peer, sink_code(i))
-        for v in range(len(kind)):
-            if kind[v] == DEAD:
-                continue
-            for s in range(3):
-                check_endpoint(conn[3 * v + s], 3 * v + s)
-
-        bad = cyclic_vertex(kind, conn, lambda head: True)
-        if bad is not None:
-            raise CyclicGraph(f"directed cycle through vertex {bad}")
-
-
-def cyclic_vertex(kind, conn, follow):
-    """The least live vertex on or below a directed cycle of the edges
-    whose heads ``follow`` picks, or None: Kahn's sort places every
-    vertex in dependency order and leaves exactly those unplaced."""
-    outs = [[h // 3 for h in (conn[3 * v + s] for s in OUT_SLOTS[k]) if h >= 0 and follow(h)]
-            for v, k in enumerate(kind)]
-    indeg = [0] * len(kind)
-    for w in chain.from_iterable(outs):
-        indeg[w] += 1
-    queue = [v for v, k in enumerate(kind) if k != DEAD and not indeg[v]]
-    for v in queue:
-        for w in outs[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                queue.append(w)
-    return next((v for v, k in enumerate(kind) if k != DEAD and indeg[v]), None)
 
 
 def in_traversal_order(d: StrandDiagram) -> StrandDiagram:

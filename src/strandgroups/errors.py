@@ -23,22 +23,6 @@ class ArityMismatch(StrandError):
     """Sink/source counts do not line up for composition or closure."""
 
 
-class CyclicGraph(StrandError):
-    """A square diagram contains a directed cycle."""
-
-
-class DanglingPort(StrandError):
-    """A vertex port or boundary slot is not met by exactly one edge end."""
-
-
-class BoundaryMismatch(StrandError):
-    """Boundary slot bookkeeping is inconsistent."""
-
-
-class StaleRedex(StrandError):
-    """A redex refers to vertices that were already removed or rewired."""
-
-
 class NotReduced(StrandError):
     """Operation requires a reduced diagram but a redex remains."""
 

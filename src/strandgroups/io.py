@@ -1,9 +1,9 @@
 """JSON and DOT serialization.
 
-Square diagrams round-trip through JSON; closed diagrams export their
-shape and weights (cut positions are engine-internal bookkeeping and
-are deliberately not part of the wire format, so closed import is not
-offered).
+Square and closed diagrams export to JSON and DOT; no verb reads either
+back.  Closed diagrams export their shape and weights: cut positions
+are engine-internal bookkeeping and are deliberately not part of the
+wire format.
 
 Endpoint schema: {"source": i} | {"sink": i} | {"vertex": id, "port": p}
 with ports numbered within their role: a split's ordered outputs are
@@ -21,9 +21,7 @@ from .diagram import (
     SPLIT,
     StrandDiagram,
     is_source_code,
-    sink_code,
     sink_index,
-    source_code,
     source_index,
 )
 
@@ -58,42 +56,6 @@ def square_to_json(d: StrandDiagram) -> dict:
             rec["longitudeWeight"] = d.long.get(head, 0)
         edges.append(rec)
     return {"m": d.m, "n": d.n, "vertices": vertices, "edges": edges}
-
-
-def square_from_json(obj: dict) -> StrandDiagram:
-    d = StrandDiagram(obj["m"], obj["n"])
-    kinds = {}
-    ids = {}
-    for rec in obj["vertices"]:
-        kinds[rec["id"]] = SPLIT if rec["kind"] == "split" else MERGE
-    for vid in sorted(kinds):
-        ids[vid] = d._new_vertex(kinds[vid])
-    has_long = any("longitudeWeight" in rec for rec in obj["edges"])
-    if has_long:
-        d.long = {}
-
-    def decode(epobj, role):
-        if "source" in epobj:
-            return source_code(epobj["source"])
-        if "sink" in epobj:
-            return sink_code(epobj["sink"])
-        v = ids[epobj["vertex"]]
-        p = epobj["port"]
-        k = d.kind[v]
-        if role == "from":
-            s = p + 1 if k == SPLIT else 2
-        else:
-            s = 0 if k == SPLIT else p
-        return 3 * v + s
-
-    for rec in obj["edges"]:
-        tail = decode(rec["from"], "from")
-        head = decode(rec["to"], "to")
-        d._link(tail, head)
-        if has_long and rec.get("longitudeWeight"):
-            d.long[head] = rec["longitudeWeight"]
-    d.validate()
-    return d
 
 
 def closed_to_json(c: ClosedDiagram) -> dict:

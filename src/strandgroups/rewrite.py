@@ -9,7 +9,7 @@ Two local moves:
               vertices vanish and the strands reconnect left-to-left,
               right-to-right.
 
-The redex finder, ``apply_redex`` and the driver take a square
+The redex finder, ``cascade`` and ``reduce_diagram`` take a square
 ``StrandDiagram`` or a ``closure.ClosedDiagram``.  Two hooks on the
 diagram class are all that differ by kind:
 
@@ -46,17 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import (
-    DEAD,
-    MERGE,
-    SPLIT,
-    TYPE_I,
-    TYPE_II,
-    StrandDiagram,
-    sink_code,
-)
-from .errors import ArityMismatch, NotReduced, StaleRedex
-from .trees import TreePair, tree_from_antichain
+from .diagram import DEAD, MERGE, SPLIT, TYPE_I, TYPE_II
 
 
 @dataclass(frozen=True)
@@ -72,10 +62,6 @@ class ReductionStats:
 
     rounds: list[tuple[int, int]] = field(default_factory=list)
     moves: int = 0
-
-    @property
-    def removed_total(self) -> int:
-        return sum(r for r, _ in self.rounds)
 
     @property
     def examined_total(self) -> int:
@@ -112,18 +98,6 @@ def find_redexes(g) -> list[Redex]:
         if hit is not None:
             redexes.append(Redex(hit[0], u, hit[1]))
     return redexes
-
-
-def apply_redex(g, r: Redex):
-    """Fire one redex in place; raises StaleRedex if it is no longer valid."""
-    kind = g.kind
-    n = len(kind)
-    if not (0 <= r.top < n and 0 <= r.bottom < n) or DEAD in (kind[r.top], kind[r.bottom]):
-        raise StaleRedex(f"redex {r} references removed vertices")
-    if _redex_at(g, r.top) != (r.kind, r.bottom):
-        raise StaleRedex(f"redex {r} no longer matches the diagram")
-    g.splice(r.kind, r.top, r.bottom)
-    return g
 
 
 def cascade(g, u: int, trace: list | None = None) -> int:
@@ -172,58 +146,3 @@ def reduce_diagram(g, stats: ReductionStats | None = None, trace: list | None = 
         stats.moves += moves
     return g
 
-
-# -- cutting a reduced (1,1)-diagram back into a tree pair -------------------
-
-
-def to_tree_pair(d: StrandDiagram) -> TreePair:
-    """Cut every split-to-merge edge of a reduced (1,1)-diagram.
-
-    Returns the tree pair whose gluing reproduces the diagram.  The leaf
-    bijection is read off the strand connections (identity for diagrams
-    built from F words).
-    """
-    if d.m != 1 or d.n != 1:
-        raise ArityMismatch("tree pairs exist only for (1,1)-diagrams")
-    redexes = find_redexes(d)
-    if redexes:
-        raise NotReduced(f"diagram has redex {redexes[0]}")
-
-    kind = d.kind
-    conn = d.conn
-
-    # Domain tree: follow splits downward from the source; a strand that
-    # reaches a merge input (or the sink) is a leaf of the split tree.
-    dom_leaves: list[tuple[str, int]] = []  # (address, head endpoint reached)
-    stack = [(d.src_conn[0], "")]
-    while stack:
-        head, addr = stack.pop()
-        if head >= 0 and head % 3 == 0 and kind[head // 3] == SPLIT:
-            v = head // 3
-            stack.append((conn[3 * v + 2], addr + "1"))
-            stack.append((conn[3 * v + 1], addr + "0"))
-        else:
-            dom_leaves.append((addr, head))
-    dom_leaves.sort()
-
-    # Range tree: follow merges upward from the sink.
-    rng_leaves: list[tuple[str, int]] = []  # (address, head endpoint of cut edge)
-    stack = [(sink_code(0), "")]
-    while stack:
-        feed, addr = stack.pop()
-        tail = d.read_conn(feed)
-        if tail >= 0 and tail % 3 == 2 and kind[tail // 3] == MERGE:
-            v = tail // 3
-            stack.append((3 * v + 1, addr + "1"))
-            stack.append((3 * v + 0, addr + "0"))
-        else:
-            rng_leaves.append((addr, feed))
-    rng_leaves.sort()
-
-    feed_index = {feed: j for j, (_, feed) in enumerate(rng_leaves)}
-    bijection = tuple(feed_index[head] for _, head in dom_leaves)
-    return TreePair(
-        tree_from_antichain([a for a, _ in dom_leaves]),
-        tree_from_antichain([a for a, _ in rng_leaves]),
-        bijection,
-    )

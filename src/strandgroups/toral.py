@@ -200,15 +200,6 @@ def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
         else:
             roots = first.vertices
         encodings.append(min_encoding(t, roots, with_weights=True))
-    pattern = tuple(1 if ring.kind == "free" else 0 for ring, _ in units)
     # the class check leaves at least one unit
-    rotations = [
-        (
-            b"|".join(encodings[i:] + encodings[:i]),
-            pattern[i:] + pattern[:i],
-        )
-        for i in range(len(encodings))
-    ]
-    body, pattern = min(rotations)
-    blob = b"T%d,%d#%d|" % (n, k, len(units)) + body
-    return CanonicalForm(blob, (len(units), t.num_vertices(), pattern))
+    body = min(b"|".join(encodings[i:] + encodings[:i]) for i in range(len(encodings)))
+    return CanonicalForm(b"T%d,%d#%d|" % (n, k, len(units)) + body)

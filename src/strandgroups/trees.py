@@ -108,6 +108,3 @@ class TreePair:
             raise ValueError("leaf bijection is not cyclic")
         return self.bijection[0]
 
-
-def identity_pair() -> TreePair:
-    return TreePair(LEAF, LEAF, (0,))

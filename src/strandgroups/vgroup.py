@@ -21,8 +21,9 @@ so the wrap residuals are all 0.  The cost is that of the F and T forms
 that lets its orbit be skipped, plus a short prefix per other root),
 with no search over bijections between alike components.
 
-Cochains are dicts keyed like ``cutting_sequence`` carriers: an edge's
-head endpoint, or ("loop", i) for free loop i.
+The tests hold this equality to an independent reference, a direct
+coboundary solve over cut-count cochains (``cohomology_equivalent`` in
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -41,62 +42,6 @@ from .oracle import equals_identity, identity_map, compose, word_to_map
 from .words import Word, core_diagram
 
 
-def cut_cochain(c: ClosedDiagram) -> dict:
-    """The cutting class as a cochain: cut counts per edge and free loop."""
-    out = {}
-    for _tail, head in c.edges():
-        out[head] = len(c.cuts.get(head, ()))
-    for i, f in enumerate(c.free_loops):
-        out[("loop", i)] = len(f.cuts)
-    return out
-
-
-def cohomology_equivalent(c: ClosedDiagram, w1: dict, w2: dict) -> bool:
-    """True iff w1 - w2 is the coboundary of some vertex potential.
-
-    Solved by spanning-tree propagation on each component: assign the
-    potential along discovery edges and verify every remaining edge.
-    On a graph the cochain-mod-coboundary group is free, so rational
-    solvability equals integer solvability; potentials based at 0 stay
-    integral automatically.  Free loops admit no coboundary at all, so
-    their values must agree exactly.
-    """
-    for i in range(len(c.free_loops)):
-        key = ("loop", i)
-        if w1.get(key, 0) != w2.get(key, 0):
-            return False
-
-    kind = c.kind
-    conn = c.conn
-
-    def diff(head):
-        return w1.get(head, 0) - w2.get(head, 0)
-
-    pot: dict[int, int] = {}
-    for v0 in c.live_vertices():
-        if v0 in pot:
-            continue
-        pot[v0] = 0
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for s in range(3):
-                ep = 3 * v + s
-                peer = conn[ep]
-                w = peer // 3
-                k = kind[v]
-                is_tail = (k == 0 and s != 0) or (k == 1 and s == 2)
-                head = peer if is_tail else ep
-                # coboundary convention: (df)(edge t->h) = f(h) - f(t)
-                step = diff(head) if is_tail else -diff(head)
-                if w not in pot:
-                    pot[w] = pot[v] + step
-                    stack.append(w)
-                elif pot[w] != pot[v] + step:
-                    return False
-    return True
-
-
 def canonical_abstract(c: ClosedDiagram) -> CanonicalForm:
     """Order-comparable encoding of a reduced closed V diagram.
 
@@ -108,7 +53,7 @@ def canonical_abstract(c: ClosedDiagram) -> CanonicalForm:
     comps = sorted(min_encoding(c, comp, with_weights=True) for comp in weak_components(c))
     loops = _loop_weights(c)
     blob = b"|".join([b"V%d" % len(comps), *comps, b"L" + b",".join(b"%d" % n for n in loops)])
-    return CanonicalForm(blob, (len(comps), c.num_vertices(), len(loops)))
+    return CanonicalForm(blob)
 
 
 def _loop_weights(c: ClosedDiagram) -> list[int]:

@@ -1,10 +1,24 @@
 import random
+from itertools import chain
 
 import pytest
 
 from strandgroups import rewrite, words
 from strandgroups.closure import ClosedDiagram
-from strandgroups.diagram import DEAD, MERGE
+from strandgroups.diagram import (
+    DEAD,
+    MERGE,
+    OUT_SLOTS,
+    SPLIT,
+    TOMB,
+    StrandDiagram,
+    is_source_code,
+    sink_code,
+    sink_index,
+    source_code,
+    source_index,
+)
+from strandgroups.errors import StrandError, StructureViolation
 from strandgroups.rewrite import _redex_at, find_redexes
 from strandgroups.trees import LEAF, TreePair
 from strandgroups.words import SINK, Word, commutator, parse_word
@@ -171,3 +185,199 @@ def count_seams(monkeypatch, observe=None):
 
     monkeypatch.setattr(words, "_seams", watched)
     return counts
+
+
+# -- structural checks: every invariant of a diagram, checked from scratch ----
+
+
+class CyclicGraph(StrandError):
+    """A square diagram contains a directed cycle."""
+
+
+class DanglingPort(StrandError):
+    """A vertex port or boundary slot is not met by exactly one edge end."""
+
+
+class BoundaryMismatch(StrandError):
+    """Boundary slot bookkeeping is inconsistent."""
+
+
+def validate(d: StrandDiagram) -> None:
+    """Raise if any structural invariant of square diagram ``d`` fails."""
+    if d.m < 1 or d.n < 1:
+        raise BoundaryMismatch("need at least one source and one sink")
+    kind = d.kind
+    conn = d.conn
+    if 3 * len(kind) != len(conn):
+        raise DanglingPort("slot table length mismatch")
+
+    def check_endpoint(e, here):
+        if e == TOMB:
+            raise DanglingPort(f"endpoint {here} is unconnected")
+        if e >= 0:
+            v = e // 3
+            if v >= len(kind) or kind[v] == DEAD:
+                raise DanglingPort(f"endpoint {here} points at removed vertex {v}")
+        elif is_source_code(e):
+            if source_index(e) >= d.m:
+                raise BoundaryMismatch(f"endpoint {here} names source {source_index(e)}")
+        elif sink_index(e) >= d.n:
+            raise BoundaryMismatch(f"endpoint {here} names sink {sink_index(e)}")
+        if d.read_conn(e) != here:
+            raise DanglingPort(f"connection {here} <-> {e} is not mutual")
+        if d.is_tail(e) == d.is_tail(here):
+            raise DanglingPort(f"edge {here} <-> {e} lacks a direction")
+
+    for i, peer in enumerate(d.src_conn):
+        check_endpoint(peer, source_code(i))
+    for i, peer in enumerate(d.snk_conn):
+        check_endpoint(peer, sink_code(i))
+    for v in range(len(kind)):
+        if kind[v] == DEAD:
+            continue
+        for s in range(3):
+            check_endpoint(conn[3 * v + s], 3 * v + s)
+
+    bad = cyclic_vertex(kind, conn, lambda head: True)
+    if bad is not None:
+        raise CyclicGraph(f"directed cycle through vertex {bad}")
+
+
+def validate_positive(c: ClosedDiagram) -> None:
+    """Every directed cycle of closed diagram ``c`` must have positive
+    total meridian weight.
+
+    Works on unreduced diagrams too: since cut counts are never
+    negative, a nonpositive cycle is a cycle of cut-free edges, so
+    it suffices that the zero-weight subgraph is acyclic.
+    """
+    bad = cyclic_vertex(c.kind, c.conn, lambda head: not c.cuts.get(head))
+    if bad is not None:
+        raise StructureViolation(f"directed cycle with zero winding through vertex {bad}")
+    for f in c.free_loops:
+        if len(f.cuts) <= 0:
+            raise StructureViolation("free loop with nonpositive winding")
+
+
+def cyclic_vertex(kind, conn, follow):
+    """The least live vertex on or below a directed cycle of the edges
+    whose heads ``follow`` picks, or None: Kahn's sort places every
+    vertex in dependency order and leaves exactly those unplaced."""
+    outs = [[h // 3 for h in (conn[3 * v + s] for s in OUT_SLOTS[k]) if h >= 0 and follow(h)]
+            for v, k in enumerate(kind)]
+    indeg = [0] * len(kind)
+    for w in chain.from_iterable(outs):
+        indeg[w] += 1
+    queue = [v for v, k in enumerate(kind) if k != DEAD and not indeg[v]]
+    for v in queue:
+        for w in outs[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                queue.append(w)
+    return next((v for v, k in enumerate(kind) if k != DEAD and indeg[v]), None)
+
+
+# -- JSON import: the reference for the ``export`` round trip -----------------
+
+
+def square_from_json(obj: dict) -> StrandDiagram:
+    """The square diagram that ``io.square_to_json`` wrote as ``obj``."""
+    d = StrandDiagram(obj["m"], obj["n"])
+    kinds = {}
+    ids = {}
+    for rec in obj["vertices"]:
+        kinds[rec["id"]] = SPLIT if rec["kind"] == "split" else MERGE
+    for vid in sorted(kinds):
+        ids[vid] = d._new_vertex(kinds[vid])
+    has_long = any("longitudeWeight" in rec for rec in obj["edges"])
+    if has_long:
+        d.long = {}
+
+    def decode(epobj, role):
+        if "source" in epobj:
+            return source_code(epobj["source"])
+        if "sink" in epobj:
+            return sink_code(epobj["sink"])
+        v = ids[epobj["vertex"]]
+        p = epobj["port"]
+        k = d.kind[v]
+        if role == "from":
+            s = p + 1 if k == SPLIT else 2
+        else:
+            s = 0 if k == SPLIT else p
+        return 3 * v + s
+
+    for rec in obj["edges"]:
+        tail = decode(rec["from"], "from")
+        head = decode(rec["to"], "to")
+        d._link(tail, head)
+        if has_long and rec.get("longitudeWeight"):
+            d.long[head] = rec["longitudeWeight"]
+    validate(d)
+    return d
+
+
+# -- cutting cochains: an independent reference for V equality ---------------
+#
+# Cochains are dicts keyed like ``cutting_sequence`` carriers: an edge's
+# head endpoint, or ("loop", i) for free loop i.
+
+
+def cut_cochain(c: ClosedDiagram) -> dict:
+    """The cutting class as a cochain: cut counts per edge and free loop."""
+    out = {}
+    for _tail, head in c.edges():
+        out[head] = len(c.cuts.get(head, ()))
+    for i, f in enumerate(c.free_loops):
+        out[("loop", i)] = len(f.cuts)
+    return out
+
+
+def cohomology_equivalent(c: ClosedDiagram, w1: dict, w2: dict) -> bool:
+    """True iff w1 - w2 is the coboundary of some vertex potential.
+
+    Solved by spanning-tree propagation on each component: assign the
+    potential along discovery edges and verify every remaining edge.
+    On a graph the cochain-mod-coboundary group is free, so rational
+    solvability equals integer solvability; potentials based at 0 stay
+    integral automatically.  Free loops admit no coboundary at all, so
+    their values must agree exactly.
+    """
+    for i in range(len(c.free_loops)):
+        key = ("loop", i)
+        if w1.get(key, 0) != w2.get(key, 0):
+            return False
+
+    kind = c.kind
+    conn = c.conn
+
+    def diff(head):
+        return w1.get(head, 0) - w2.get(head, 0)
+
+    pot: dict[int, int] = {}
+    for v0 in c.live_vertices():
+        if v0 in pot:
+            continue
+        pot[v0] = 0
+        stack = [v0]
+        while stack:
+            v = stack.pop()
+            for s in range(3):
+                ep = 3 * v + s
+                peer = conn[ep]
+                w = peer // 3
+                k = kind[v]
+                is_tail = (k == 0 and s != 0) or (k == 1 and s == 2)
+                head = peer if is_tail else ep
+                # coboundary convention: (df)(edge t->h) = f(h) - f(t)
+                step = diff(head) if is_tail else -diff(head)
+                if w not in pot:
+                    pot[w] = pot[v] + step
+                    stack.append(w)
+                elif pot[w] != pot[v] + step:
+                    return False
+    return True
+
+
+def identity_pair() -> TreePair:
+    return TreePair(LEAF, LEAF, (0,))

@@ -23,10 +23,10 @@ from strandgroups.diagram import encode_square
 from strandgroups.oracle import brute_conj_witness, equals_identity, word_to_map
 from strandgroups.rewrite import reduce_diagram
 from strandgroups.toral import canonical_toral, dehn_twist, is_conjugate_t, rotation_number, torsion_witness
-from strandgroups.vgroup import canonical_abstract, cohomology_equivalent, is_conjugate_v
+from strandgroups.vgroup import canonical_abstract, is_conjugate_v
 from strandgroups.words import Generator, Word, parse_word, random_word, reduced_diagram, word_to_diagram
 
-from conftest import reduce_random
+from conftest import cohomology_equivalent, reduce_random
 
 _ANNULAR_REGISTRY = []
 

@@ -17,10 +17,10 @@ from strandgroups.closure import (
 from strandgroups.canonical import canonical_annular
 from strandgroups.diagram import MERGE, SPLIT, StrandDiagram, sink_code, source_code, vine
 from strandgroups.errors import ArityMismatch, NotReduced, StructureViolation
-from strandgroups.rewrite import apply_redex, find_redexes, reduce_diagram
+from strandgroups.rewrite import find_redexes, reduce_diagram
 from strandgroups.words import parse_word, random_word, word_to_diagram
 
-from conftest import reduce_random
+from conftest import reduce_random, validate_positive
 
 
 def _identity_k(k):
@@ -111,7 +111,7 @@ def test_overlap_resolved_by_type_three():
     for r in redexes:
         c = build_cycle()
         rr = next(x for x in find_redexes(c) if x.kind == r.kind)
-        apply_redex(c, rr)
+        c.splice(rr.kind, rr.top, rr.bottom)
         reduce_closed(c)
         results.append([(f.winding, f.long) for f in c.free_loops])
     assert results[0] == results[1] == [(1, 0)]
@@ -180,9 +180,9 @@ def test_positivity_after_close_and_reduce(rng):
     for _ in range(100):
         w = random_word("F", rng.randrange(0, 12), rng)
         a = close_annular(word_to_diagram(w))
-        a.validate_positive()
+        validate_positive(a)
         reduce_closed(a)
-        a.validate_positive()
+        validate_positive(a)
 
 
 def test_cutting_sequence_is_cochain(rng):
@@ -220,11 +220,11 @@ def _split_merge_cycle(cut_heads):
 
 def test_validate_positive_raise_paths():
     with pytest.raises(StructureViolation, match="zero winding"):
-        _split_merge_cycle([]).validate_positive()
+        validate_positive(_split_merge_cycle([]))
     with pytest.raises(StructureViolation, match="zero winding"):
-        _split_merge_cycle([3]).validate_positive()  # the right edge stays cut-free
+        validate_positive(_split_merge_cycle([3]))  # the right edge stays cut-free
     c = _split_merge_cycle([3, 4])
-    c.validate_positive()
+    validate_positive(c)
     c.free_loops.append(FreeLoop([]))
     with pytest.raises(StructureViolation, match="free loop with nonpositive winding"):
-        c.validate_positive()
+        validate_positive(c)

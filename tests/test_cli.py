@@ -169,6 +169,23 @@ def test_bench_rows(capsys):
         assert all(r[7] == r[5] for r in rows)  # the streamed diagram holds only live slots
 
 
+def test_bench_lengths_must_be_positive_integers(capsys):
+    for lengths in ("abc", "", "10,-5", "0", "10,,20"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "reduce", "--lengths", lengths])
+        assert exc.value.code == 2
+        assert "error: argument --lengths" in capsys.readouterr().err
+
+
+def test_oracle_max_len_must_be_non_negative(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "conj", "--max-len", "-1", "x0", "x0"])
+    assert exc.value.code == 2
+    assert "error: argument --max-len" in capsys.readouterr().err
+    code, out, _ = run(capsys, "oracle", "conj", "--max-len", "0", "x0", "x0")
+    assert (code, out) == (0, "<empty>")
+
+
 def test_conj_dispatch_t_v(capsys):
     code, out, _ = run(capsys, "conj", "-g", "T", "c", "c")
     assert code == 0 and out == "true"

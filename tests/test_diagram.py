@@ -16,9 +16,9 @@ from strandgroups.diagram import (
     source_code,
     vine,
 )
-from strandgroups.errors import ArityMismatch, BoundaryMismatch, CyclicGraph, DanglingPort
+from strandgroups.errors import ArityMismatch
 from strandgroups.rewrite import find_redexes, reduce_diagram
-from strandgroups.trees import LEAF, TreePair, identity_pair
+from strandgroups.trees import LEAF, TreePair
 from strandgroups.words import (
     GENERATOR_PAIRS,
     Generator,
@@ -28,12 +28,19 @@ from strandgroups.words import (
     word_to_diagram,
 )
 
-from conftest import random_tree_pair
+from conftest import (
+    BoundaryMismatch,
+    CyclicGraph,
+    DanglingPort,
+    identity_pair,
+    random_tree_pair,
+    validate,
+)
 
 
 def test_identity_diagram():
     d = identity_diagram()
-    d.validate()
+    validate(d)
     assert d.is_identity()
     assert d.m == d.n == 1
     assert d.num_vertices() == 0
@@ -48,7 +55,7 @@ def test_validate_detects_cycle():
     d._link(3 * v + 1, sink_code(0))
     d._link(3 * v + 2, 3 * u + 1)  # feeds back up: directed cycle
     with pytest.raises(CyclicGraph):
-        d.validate()
+        validate(d)
 
 
 def test_validate_detects_self_loop():
@@ -61,7 +68,7 @@ def test_validate_detects_self_loop():
     d._link(3 * w + 2, 3 * u + 0)
     d._link(3 * u + 2, 3 * u + 1)
     with pytest.raises(CyclicGraph):
-        d.validate()
+        validate(d)
 
 
 def test_validate_detects_dangling_port():
@@ -71,12 +78,12 @@ def test_validate_detects_dangling_port():
     d._link(3 * u + 1, sink_code(0))
     # 3u+2 left unconnected
     with pytest.raises(DanglingPort):
-        d.validate()
+        validate(d)
 
 
 def test_validate_needs_boundary():
     with pytest.raises(BoundaryMismatch):
-        StrandDiagram(0, 0).validate()
+        validate(StrandDiagram(0, 0))
 
 
 def test_crossed_split_merge_is_valid():
@@ -88,12 +95,12 @@ def test_crossed_split_merge_is_valid():
     d._link(3 * u + 1, 3 * v + 1)
     d._link(3 * u + 2, 3 * v + 0)
     d._link(3 * v + 2, sink_code(0))
-    d.validate()
+    validate(d)
 
 
 def test_concatenate_identity():
     d = concatenate(identity_diagram(), identity_diagram())
-    d.validate()
+    validate(d)
     assert d.is_identity()
 
 
@@ -144,7 +151,7 @@ def test_invert_identity_and_single_split():
     assert invert(identity_diagram()).is_identity()
     sp = vine(2)
     mg = invert(sp)
-    mg.validate()
+    validate(mg)
     assert mg.m == 2 and mg.n == 1
     assert mg.kind.count(1) == 1  # one merge
 
@@ -172,11 +179,11 @@ def test_port_completeness_after_operations(rng):
     for _ in range(30):
         tp = random_tree_pair(rng, rng.randrange(1, 7))
         d = from_tree_pair(tp)
-        d.validate()
+        validate(d)
         e = concatenate(d, invert(d))
-        e.validate()
+        validate(e)
         reduce_diagram(e)
-        e.validate()
+        validate(e)
 
 
 def test_vine_shapes():
@@ -185,7 +192,7 @@ def test_vine_shapes():
     assert v2.num_vertices() == 1 and v2.m == 1 and v2.n == 2
     for k in range(1, 11):
         vk = vine(k)
-        vk.validate()
+        validate(vk)
         assert vk.num_vertices() == k - 1
         r = reduce_diagram(concatenate(invert(vk), vk))
         assert r.num_vertices() == 0 and r.m == r.n == k

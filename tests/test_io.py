@@ -6,7 +6,6 @@ from strandgroups.closure import close_annular, close_cylindrical, reduce_closed
 from strandgroups.io import (
     closed_to_dot,
     closed_to_json,
-    square_from_json,
     square_to_dot,
     square_to_json,
     to_json_text,
@@ -14,6 +13,8 @@ from strandgroups.io import (
 from strandgroups.diagram import encode_square
 from strandgroups.rewrite import reduce_diagram
 from strandgroups.words import Word, parse_word, random_word, word_to_diagram
+
+from conftest import square_from_json
 
 
 def test_square_json_roundtrip(rng):

@@ -1,4 +1,4 @@
-"""Reduction engine: redex discovery, moves, confluence, cutting."""
+"""Reduction engine: redex discovery, moves, confluence, tree pairs."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from strandgroups.diagram import (
     source_code,
 )
 from strandgroups import rewrite, words
-from strandgroups.errors import NotReduced, StaleRedex
 from strandgroups.oracle import (
     PrefixMap,
     _posword_indices,
@@ -23,18 +22,11 @@ from strandgroups.oracle import (
     word_from_map_f,
     word_to_map,
 )
-from strandgroups.rewrite import (
-    Redex,
-    ReductionStats,
-    apply_redex,
-    find_redexes,
-    reduce_diagram,
-    to_tree_pair,
-)
-from strandgroups.trees import LEAF, TreePair, antichain, comb, identity_pair
-from strandgroups.words import GENERATOR_PAIRS, parse_word, random_word, reduced_diagram, word_to_diagram
+from strandgroups.rewrite import ReductionStats, find_redexes, reduce_diagram
+from strandgroups.trees import LEAF, TreePair, antichain, comb, tree_from_antichain
+from strandgroups.words import parse_word, random_word, reduced_diagram, word_to_diagram
 
-from conftest import count_seams, random_tree_pair, reduce_random, with_relators
+from conftest import count_seams, random_tree_pair, reduce_random, validate, with_relators
 
 
 def _split_merge(crossed: bool) -> StrandDiagram:
@@ -63,8 +55,8 @@ def test_find_redexes_trivia():
 def test_apply_type1_gives_identity():
     d = _split_merge(crossed=False)
     (r,) = find_redexes(d)
-    apply_redex(d, r)
-    d.validate()
+    d.splice(r.kind, r.top, r.bottom)
+    validate(d)
     assert d.is_identity()
 
 
@@ -80,8 +72,8 @@ def test_apply_type2_gives_parallel_strands():
     d._link(3 * v + 2, sink_code(1))
     (r,) = find_redexes(d)
     assert r.kind == "II"
-    apply_redex(d, r)
-    d.validate()
+    d.splice(r.kind, r.top, r.bottom)
+    validate(d)
     assert d.num_vertices() == 0
     assert d.src_conn == [sink_code(0), sink_code(1)]
 
@@ -105,40 +97,10 @@ def test_overlapping_redexes_same_result():
     d = build()
     r1, r2 = find_redexes(d)
     d1 = build()
-    apply_redex(d1, r1)
+    d1.splice(r1.kind, r1.top, r1.bottom)
     d2 = build()
-    apply_redex(d2, r2)
+    d2.splice(r2.kind, r2.top, r2.bottom)
     assert encode_square(d1) == encode_square(d2)
-
-
-def test_stale_redex_raises():
-    d = _split_merge(crossed=False)
-    (r,) = find_redexes(d)
-    apply_redex(d, r)
-    with pytest.raises(StaleRedex):
-        apply_redex(d, r)
-    with pytest.raises(StaleRedex):
-        apply_redex(_split_merge(crossed=False), Redex("II", 0, 1))
-
-
-def test_redex_ids_outside_the_arrays_are_stale():
-    # a redex found before ``compact`` can name ids past the arrays; a
-    # negative id would index the arrays from the end
-    d = word_to_diagram(parse_word("x0 x0^-1"))
-    r = find_redexes(d)[0]
-    n = len(d.kind)
-    for top, bottom in ((r.top, n + 3), (n, r.bottom), (r.top, r.bottom - n), (r.top - n, r.bottom)):
-        with pytest.raises(StaleRedex):
-            apply_redex(d, Redex(r.kind, top, bottom))
-    apply_redex(d, r)
-
-
-def test_closed_stale_redex_raises():
-    c = close_annular(word_to_diagram(parse_word("x0 x0^-1")))
-    r = find_redexes(c)[0]
-    apply_redex(c, r)
-    with pytest.raises(StaleRedex):
-        apply_redex(c, r)
 
 
 def test_reduce_trivia():
@@ -174,9 +136,10 @@ def test_worklist_telescoping_bounds(rng):
         total = len(d.kind)
         stats = ReductionStats()
         reduce_diagram(d, stats=stats)
-        assert stats.removed_total <= total
+        removed = sum(r for r, _ in stats.rounds)
+        assert removed <= total
         assert stats.examined_total <= 5 * total
-        assert stats.moves * 2 == stats.removed_total
+        assert stats.moves * 2 == removed
 
 
 @pytest.mark.parametrize(
@@ -190,9 +153,10 @@ def test_closed_worklist_telescoping_bounds(rng, group, close):
         stats = ReductionStats()
         reduce_diagram(c, stats=stats)
         assert find_redexes(c) == []
-        assert stats.removed_total <= total
+        removed = sum(r for r, _ in stats.rounds)
+        assert removed <= total
         assert stats.examined_total <= 5 * total
-        assert stats.moves * 2 == stats.removed_total
+        assert stats.moves * 2 == removed
 
 
 def test_stats_record_the_first_round_on_reduced_input():
@@ -261,46 +225,27 @@ def test_word_problem_matches_oracle(rng):
         assert d.is_identity() == equals_identity(word_to_map(w))
 
 
-def test_to_tree_pair_trivia():
-    assert to_tree_pair(identity_diagram()) == identity_pair()
-    x0 = from_tree_pair(GENERATOR_PAIRS["x0"])
-    assert to_tree_pair(x0) == GENERATOR_PAIRS["x0"]
-
-
-def test_to_tree_pair_requires_reduced():
-    d = word_to_diagram(parse_word("x0 x0^-1"))
-    with pytest.raises(NotReduced):
-        to_tree_pair(d)
-
-
 def test_to_tree_pair_roundtrip(rng):
+    # reducing the diagram of a tree pair gives the minimised pair's diagram
     for _ in range(200):
         grp = rng.choice(("F", "V"))
         tp = random_tree_pair(rng, rng.randrange(1, 8), group=grp)
-        d = from_tree_pair(tp)
-        reduce_diagram(d)
-        got = to_tree_pair(d)
-        # cutting a reduced diagram recovers the minimized tree pair
-        assert treepair_to_map(got) == minimize(treepair_to_map(tp))
+        d = reduce_diagram(from_tree_pair(tp))
+        m = minimize(treepair_to_map(tp))
+        minimal = TreePair(tree_from_antichain(m.domain), tree_from_antichain(m.range_), m.perm)
+        assert encode_square(d) == encode_square(from_tree_pair(minimal))
 
 
 def test_deep_tree_pairs_roundtrip():
-    # 10^4 levels, far past the interpreter's recursion limit
+    # x0^n is the pair (left comb, right comb) on n + 2 leaves; 10^4 levels
+    # are far past the interpreter's recursion limit
     n = 10**4
     left_comb = LEAF
-    for _ in range(n - 1):
+    for _ in range(n + 1):
         left_comb = (left_comb, LEAF)
-    tp = TreePair(comb(n), left_comb, tuple(range(n)))
-    got = to_tree_pair(from_tree_pair(tp))
-    # deep tuples cannot be compared with ==, their leaf addresses can
-    assert antichain(got.domain) == antichain(tp.domain)
-    assert antichain(got.range_) == antichain(tp.range_)
-    assert got.bijection == tp.bijection
-
+    tp = TreePair(left_comb, comb(n + 2), tuple(range(n + 2)))
     d = word_to_diagram(parse_word(" ".join(["x0"] * n)))
     reduce_diagram(d)
-    tp = to_tree_pair(d)
-    assert tp.n_leaves == n + 2
     assert encode_square(from_tree_pair(tp)) == encode_square(d)
 
 

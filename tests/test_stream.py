@@ -34,7 +34,7 @@ from strandgroups.words import (
     word_to_diagram,
 )
 
-from conftest import count_seams, reference_seams, with_relators
+from conftest import count_seams, reference_seams, validate, with_relators
 
 
 def _canon(group, d):
@@ -61,7 +61,7 @@ def test_streamed_matches_two_step_reduction():
             ref, moves = _two_step(*ws)
             trace = []
             d = reduced_diagram(*ws, trace=trace)
-            d.validate()
+            validate(d)
             assert len(trace) == moves
             assert len(d.kind) == d.num_vertices() == ref.num_vertices()
             assert encode_square(d) == encode_square(ref)
@@ -131,7 +131,7 @@ def _pairs(group, rng, n):
 def _same_by_blocks_and_letters(*ws):
     d = reduced_diagram(*ws)
     ref = reduced_diagram(*ws, trace=[])
-    d.validate()
+    validate(d)
     assert len(d.kind) == d.num_vertices() == ref.num_vertices()
     assert encode_square(d) == encode_square(ref)
     return d, ref

@@ -7,13 +7,12 @@ from strandgroups.trees import (
     TreePair,
     antichain,
     comb,
-    identity_pair,
     num_leaves,
     tree_from_antichain,
     tree_with_cut,
 )
 
-from conftest import random_tree
+from conftest import identity_pair, random_tree
 
 
 def test_antichain_roundtrip(rng):

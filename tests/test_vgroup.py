@@ -21,14 +21,12 @@ from strandgroups.vgroup import (
     canonical_abstract,
     closed_diagrams_equal,
     closed_form,
-    cohomology_equivalent,
-    cut_cochain,
     is_conjugate_v,
     torsion_check,
 )
 from strandgroups.words import Word, parse_word, random_word, word_to_diagram
 
-from conftest import reduce_random
+from conftest import cohomology_equivalent, cut_cochain, reduce_random, validate_positive
 
 
 def test_close_identity():
@@ -40,7 +38,7 @@ def test_pi0_closed_reduces_to_loops():
     c = closed_form(parse_word("pi0", "V"))
     assert c.num_vertices() == 0
     assert sorted(len(f.cuts) for f in c.free_loops) == [1, 2]
-    c.validate_positive()
+    validate_positive(c)
 
 
 def test_close_abstract_with_permutation():
@@ -58,16 +56,16 @@ def test_close_abstract_with_permutation():
     assert sorted(len(f.cuts) for f in c.free_loops) == [3]
     c = close_abstract(identity_k(3), perm=(1, 0, 2))
     assert sorted(len(f.cuts) for f in c.free_loops) == [1, 2]
-    c.validate_positive()
+    validate_positive(c)
 
 
 def test_positivity_preserved_by_close_and_reduce(rng):
     for _ in range(80):
         w = random_word("V", rng.randrange(0, 10), rng)
         c = close_abstract(word_to_diagram(w))
-        c.validate_positive()
+        validate_positive(c)
         reduce_closed(c)
-        c.validate_positive()
+        validate_positive(c)
 
 
 def test_crossed_pair_is_not_a_redex():

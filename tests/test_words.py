@@ -17,6 +17,8 @@ from strandgroups.words import (
     word_to_text,
 )
 
+from conftest import validate
+
 
 def test_parse_basic():
     w = parse_word("x0 x1^-2")
@@ -65,7 +67,7 @@ def test_generator_diagrams_irreducible():
         for sym in syms:
             for sign in (1, -1):
                 d = generator_diagram(Generator(sym, sign), grp)
-                d.validate()
+                validate(d)
                 assert find_redexes(d) == []
                 assert d.num_vertices() <= 6
 
@@ -97,7 +99,7 @@ def test_word_to_diagram_matches_generic_concatenation(rng):
             slow = identity_diagram(cylindrical=(grp == "T"))
             for g in w.letters:
                 slow = concatenate(slow, generator_diagram(g, grp))
-            fast.validate()
+            validate(fast)
             assert encode_square(fast) == encode_square(slow)
 
 
