@@ -102,10 +102,8 @@ def _refine(a: tuple[str, ...], b: tuple[str, ...]) -> list[str]:
 def _leaf_containing(chain: tuple[str, ...], s: str) -> int:
     """Index of the antichain leaf that is a prefix of s."""
     k = bisect_right(chain, s)
-    if k and s.startswith(chain[k - 1]):
+    if k and s.startswith(chain[k - 1]):  # only the last leaf <= s can be a prefix of s
         return k - 1
-    if k < len(chain) and s.startswith(chain[k]):
-        return k
     raise ValueError(f"{s!r} not under antichain")
 
 
@@ -240,9 +238,7 @@ def block_word(d: int, inverted: int | None, group: str) -> Word:
 
 
 def _f_map_moving_cut(q: str) -> PrefixMap:
-    """An order-preserving map sending the dyadic point 3/4 to 0.q."""
-    q = q.rstrip("0")
-    assert q and q != "1" * len(q) or q, "cut must be an interior dyadic"
+    """An order-preserving map sending the dyadic point 3/4 to 0.q (q ends in 1)."""
     dom = ["0", "10", "11"]  # cut after two leaves, at 3/4
     rng = antichain(tree_with_cut(q))
     cut_at = sum(1 for s in rng if s < q)  # leaves left of the cut

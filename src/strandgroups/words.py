@@ -187,10 +187,10 @@ _BLOCK = {"F": 4, "T": 4, "V": 3}  # letters per block: 4^4 F, 6^4 T, 8^3 V bloc
 
 
 class _Templates(dict):
-    """Code tuple -> (kinds, slots, source head, sink tail, wraps, sink
-    wrap), filled on first use from one letter's square (V) or cylindrical
-    (T) diagram, or from the diagram that ``_seams`` reduces letter by
-    letter for a longer block (no kinds if identity)."""
+    """Code tuple -> (kinds, slots, source head, sink tail, wraps), filled
+    on first use from one letter's square (V) or cylindrical (T) diagram,
+    or from the diagram that ``_seams`` reduces letter by letter for a
+    longer block (no kinds if identity).  No key leaves a sink wrap."""
 
     def __init__(self, group: str):
         self.group = group
@@ -203,7 +203,7 @@ class _Templates(dict):
             _seams(d, zip(key))
         lw = d.long or {}
         tlong = tuple((h, w) for h, w in lw.items() if h >= 0 and w)
-        tpl = (bytes(d.kind), tuple(d.conn), d.src_conn[0], d.snk_conn[0], tlong, lw.get(SINK, 0))
+        tpl = (bytes(d.kind), tuple(d.conn), d.src_conn[0], d.snk_conn[0], tlong)
         self[key] = tpl
         return tpl
 
@@ -226,7 +226,15 @@ def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = Tru
     collects the moves as (type, top, bottom).  Dead vertices at the end
     of the arrays are dropped, the rest renumbered once they outnumber the
     live ones, and at the end.  Identity templates are skipped; they carry
-    no wrap count, as the keys are freely reduced."""
+    no wrap count, as the keys are freely reduced.
+
+    In an acyclic (1,1)-diagram the source edge enters a split or the
+    sink, and the sink edge leaves a merge or the source: every edge
+    descends from the one source, so the other input of a merge fed by the
+    source would descend from that merge, a cycle; dually at the sink.
+    Moves keep diagrams acyclic, so an old tail other than the source is
+    a merge's, a type I split's left output is not the sink, and a type
+    II move meets neither boundary edge."""
     kind = d.kind
     conn = d.conn
     src_conn = d.src_conn
@@ -235,7 +243,7 @@ def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = Tru
     templates = _TEMPLATES[long is not None]
     moves = examined = dead = 0
     for key in keys:
-        tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[key]
+        tk, tconn, x_ep, y_ep, tlong = templates[key]
         if not tk:
             continue
         tail = snk_conn[0]
@@ -253,13 +261,11 @@ def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = Tru
                 long[h + off] = w
             if carried:
                 long[x] = long.get(x, 0) + carried
-            if snk_lw:
-                long[SINK] = snk_lw
         if tail < 0:
             src_conn[0] = x
             continue
         conn[tail] = x
-        if not reduce or kind[tail // 3] != MERGE:
+        if not reduce:
             continue
         fired = 0
         queue = [tail // 3]
@@ -274,7 +280,7 @@ def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = Tru
                 # differ in wraps (lifted to the strip they would cross),
                 # so _redex_at's wrap test is left out
                 x = conn[i + 1]
-                if x < 0 or x % 3 or kind[x // 3] != MERGE or conn[i + 2] != x + 1:
+                if x % 3 or kind[x // 3] != MERGE or conn[i + 2] != x + 1:
                     continue
                 a = conn[i]
                 e = conn[x + 2]
@@ -310,26 +316,14 @@ def _seams(d: StrandDiagram, keys, trace: list | None = None, reduce: bool = Tru
                         long[c] = wl
                     if wr:
                         long[e] = wr
-                if c >= 0:
-                    conn[c] = a
-                else:
-                    snk_conn[0] = a
-                if e >= 0:
-                    conn[e] = b
-                else:
-                    snk_conn[0] = b
+                conn[c] = a
+                conn[e] = b
                 if trace is not None:
                     trace.append((TYPE_II, u, x // 3))
-                if a >= 0:
-                    conn[a] = c
-                    queue.append(a // 3)
-                else:
-                    src_conn[0] = c
-                if b >= 0:
-                    conn[b] = e
-                    queue.append(b // 3)
-                else:
-                    src_conn[0] = e
+                conn[a] = c
+                queue.append(a // 3)
+                conn[b] = e
+                queue.append(b // 3)
             kind[u] = kind[x // 3] = DEAD
             fired += 1
         if fired:

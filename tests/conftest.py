@@ -120,7 +120,7 @@ def _grow(d, keys):
     long = d.long
     templates = words._TEMPLATES[long is not None]
     for key in keys:
-        tk, tconn, x_ep, y_ep, tlong, snk_lw = templates[key]
+        tk, tconn, x_ep, y_ep, tlong = templates[key]
         if not tk:
             continue
         tail = snk_conn[0]
@@ -142,8 +142,6 @@ def _grow(d, keys):
                 long[h + off] = wv
             if carried:
                 long[x] = long.get(x, 0) + carried
-            if snk_lw:
-                long[SINK] = snk_lw
         yield tail
 
 

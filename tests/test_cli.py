@@ -14,6 +14,7 @@ import pytest
 import strandgroups
 from strandgroups import cli, words
 from strandgroups.cli import main
+from strandgroups.diagram import StrandDiagram
 from strandgroups.words import random_word, word_to_text
 
 
@@ -165,8 +166,8 @@ def test_bench_rows(capsys):
         assert lines[0].startswith("#")
         rows = [line.split() for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [100, 200]  # sorted ascending
-        assert all(len(r) == 8 for r in rows)
-        assert all(r[7] == r[5] for r in rows)  # the streamed diagram holds only live slots
+        assert all(len(r) == 4 for r in rows)
+        assert all(r[3] == r[2] for r in rows)  # the streamed diagram holds only live slots
 
 
 def test_bench_lengths_must_be_positive_integers(capsys):
@@ -214,6 +215,42 @@ def test_word_arguments_read_files_and_stdin(capsys, tmp_path, monkeypatch, argv
     assert run(capsys, *(f"@{path}" if a == "W" else a for a in argv)) == want
     monkeypatch.setattr(sys, "stdin", io.StringIO(word))
     assert run(capsys, *("-" if a == "W" else a for a in argv)) == want
+
+
+def test_a_second_stdin_word_is_a_user_error(capsys, monkeypatch):
+    for argv in (["eq", "-", "-"], ["conj", "-g", "T", "-", "-"], ["oracle", "eq", "-", "-"], ["oracle", "conj", "-", "-"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x0 x1"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: standard input (-) holds one word only" in capsys.readouterr().err
+    # nothing outlives a call: the next command line reads stdin again
+    for _ in range(2):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x0 x1"))
+        assert run(capsys, "eq", "x0 x1", "-") == (0, "true", "")
+
+
+def test_no_verb_runs_the_two_step_square_path(monkeypatch):
+    # every verb builds square diagrams with the streamed kernel
+    # (words._seams); none fires a move through StrandDiagram's methods
+    def refuse(*args):
+        raise AssertionError("a verb reduced a square diagram move by move")
+
+    monkeypatch.setattr(StrandDiagram, "splice", refuse)
+    monkeypatch.setattr(StrandDiagram, "edge_class", refuse)
+    w = "x0 x1 X0 x1^2 X1 x0 X1"
+    argvs = [
+        ["reduce", w],
+        ["reduce", "--trace", "--emit-canon", w],
+        ["eq", w, "x1 x0"],
+        *(["conj", "-g", g, w, "x1 x0 x1"] for g in "FTV"),
+        ["rotnum", "x0^-1 c x0 x1 X1 c"],
+        *(["export", "--stage", stage, w] for stage in ("square", "closed")),
+        ["oracle", "eq", w, "x1 x0"],
+        ["bench", "reduce", "--lengths", "10,100"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0, argv
 
 
 def test_unreadable_word_file_is_a_user_error(capsys, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from strandgroups import rewrite, words
 from strandgroups.canonical import annular_form, canonical_annular
 from strandgroups.closure import close_abstract, close_annular, close_cylindrical, reduce_closed
-from strandgroups.diagram import encode_square
+from strandgroups.diagram import MERGE, SPLIT, encode_square
 from strandgroups.errors import AlphabetError, ParseError
 from strandgroups.rewrite import reduce_diagram
 from strandgroups.oracle import word_to_map
@@ -28,6 +28,7 @@ from strandgroups.words import (
     core_diagram,
     cyclic_core,
     free_reduce,
+    generator_diagram,
     parse_word,
     random_word,
     reduced_diagram,
@@ -233,10 +234,19 @@ def test_block_path_cancels_w_times_w_inverse(monkeypatch):
         assert counts[-1][0] > 0
 
 
+def _check_boundary_edges(d):
+    # what lets the kernel skip boundary tests: the source edge enters a
+    # split or the sink, the sink edge leaves a merge or the source
+    head, tail = d.src_conn[0], d.snk_conn[0]
+    assert head < 0 or d.kind[head // 3] == SPLIT, head
+    assert tail < 0 or d.kind[tail // 3] == MERGE, tail
+
+
 def test_seam_kernel_matches_the_reference_loop(monkeypatch):
     # the kernel against ``_grow`` and ``rewrite.cascade``: the same arrays
-    # and wraps, the same moves in the same order, as many redex tests
-    counts = count_seams(monkeypatch)
+    # and wraps, the same moves in the same order, as many redex tests;
+    # the boundary edges checked before each splice and after each build
+    counts = count_seams(monkeypatch, _check_boundary_edges)
     kernel = words._seams
     redex_at = rewrite._redex_at
     tests = [0]
@@ -264,6 +274,7 @@ def test_seam_kernel_matches_the_reference_loop(monkeypatch):
                 monkeypatch.setattr(words, "_seams", seams)
                 t = None if trace is None else []
                 d = reduced_diagram(*ws, trace=t)
+                _check_boundary_edges(d)
                 built.append((bytes(d.kind), d.conn, d.src_conn, d.snk_conn, d.long, t, counts[-1]))
             assert built[0] == built[1]
             total = [a + b for a, b in zip(total, counts[-1])]
@@ -272,7 +283,7 @@ def test_seam_kernel_matches_the_reference_loop(monkeypatch):
 
 def test_identity_templates_carry_no_wrap():
     # every key the block path meets is freely reduced; the identity
-    # templates among them leave the sink edge's wrap count as it is
+    # templates among them are these two (no key leaves a sink wrap, below)
     identities = []
     for group in "FTV":
         templates = words._TEMPLATES[group == "T"]
@@ -281,15 +292,31 @@ def test_identity_templates_carry_no_wrap():
             for key in product(codes, repeat=n):
                 if any(a == b ^ 1 for a, b in zip(key, key[1:])):
                     continue
-                kinds, _, _, _, _, sink_wrap = templates[key]
-                if not kinds:
+                if not templates[key][0]:
                     identities.append((group, key))
-                    assert sink_wrap == 0, (group, key)
     pi0 = Generator("pi0", 1)
     assert [(g, [words._LETTERS[c] for c in key]) for g, key in identities] == [
         ("V", [pi0, pi0]),
         ("V", [pi0.inverse(), pi0.inverse()]),
     ]
+
+
+def test_no_key_leaves_a_wrap_on_the_sink_edge():
+    # the templates keep no sink wrap: no freely reduced key of 1 to
+    # _BLOCK letters, every key a builder splices, leaves one; F and V
+    # diagrams carry no wraps at all.  A letter is checked on its own
+    # diagram, and longer keys are spliced from the letters.
+    for group in "FTV":
+        letters = [g for g in words._LETTERS if g.symbol in ALPHABETS[group]]
+        diagrams = [generator_diagram(g, group) for g in letters]
+        for n in range(1, words._BLOCK[group] + 1):
+            for key in product(letters, repeat=n):
+                if not any(_cancels(a, b) for a, b in zip(key, key[1:])):
+                    diagrams.append(reduced_diagram(Word(group, key), trace=[]))
+        for d in diagrams:
+            assert (d.long is not None) == (group == "T")
+            assert (d.long or {}).get(words.SINK, 0) == 0
+        assert len(diagrams) == {"F": 4 + 160, "T": 6 + 936, "V": 8 + 456}[group]
 
 
 @pytest.mark.parametrize(
