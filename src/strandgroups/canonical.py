@@ -10,35 +10,23 @@ records pure port structure.  Crossing weights still matter before
 encoding: they are validated (every cycle winds exactly once) and they
 determine the radial order of the rings.
 
-The minimum over starting vertices (``min_encoding``) exits early.  The
-roots are encoded one after another against the least encoding so far,
-which is itself read only as far as a comparison needs: a root stops as
-soon as its bytes compare greater, and one that compares less takes
-over as the least with its traversal paused.  Only the final least and
-the roots that tie with it run to the end, and a tie is an automorphism
-of the component: the two discovery orders, paired, map it onto itself.
-Roots in the orbit of the least under the automorphisms found so far
-encode to the same bytes and are skipped.  Automorphisms of a connected
-component act freely (one fixed vertex fixes every vertex), so each tie
-at least doubles the group they generate.  Take a component of n
-vertices with r candidate roots, t of them tied at the minimum.  When
-the roots are closed under its automorphisms (the innermost cycle for
-F, every cycle vertex of a single T unit, every vertex for V), the
-component has t automorphisms, so there are at most log2(t) ties.  It
-costs the final least, those ties and any earlier least that tied
-before a smaller root displaced it: at most 1 + 2 log2(t) traversals,
-1 + log2(t) when no tied least is displaced, plus a prefix per other
-root, instead of r traversals.  A random word pays about one traversal
-plus a short prefix per other root (on the 10^4 letter F words of the
-benchmark, r is 32 to 91 and a pruned root reads 1 to 3 vertices on
-average).  A symmetric power w^k keeps k roots tied on its innermost
-cycle: w^32 of a 200-letter F word (12,800 vertices) encodes 2 of its
-32 roots to the end.
+The minimum over starting vertices (``min_encoding``) encodes only the
+roots with the least first vertex, a vertex at a time and only as far
+as a comparison needs; a tie is an automorphism whose orbit is skipped.
+With r candidate roots, t of them tied at the minimum, and the roots
+closed under the automorphisms (the innermost cycle for F, every cycle
+vertex of a lone T unit, every vertex for V), it costs at most
+1 + 2 log2(t) traversals plus a prefix per other root with the least
+key, not r traversals.  On the 10^4 letter F words of the benchmark, 26
+to 58 of r = 32 to 91 roots carry the least key, and a pruned root reads
+3 to 4 vertices on average; w^32 of a 200-letter positive F word keys
+all 3,072 roots alike, 32 of them tied, and encodes 2 to the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .closure import (
     ClosedDiagram,
@@ -61,94 +49,143 @@ class CanonicalForm:
         return f"CanonicalForm({self.blob.hex()[:24]}...)"
 
 
-def _pieces(c: ClosedDiagram, root: int, with_weights: bool, queue: list | None = None):
-    """The traversal encoding from ``root`` as a stream of ASCII pieces.
+_KIND = ("S", "M")
+_LEAD = (";S", ";M")  # a kind token after the first vertex
+_NEW = (";+0", ";+1", ";+2")
+_TAIL = ((False, True, True), (False, False, True))  # [kind][slot]: the slot is a tail
+# the keys of roots with three distinct peers other than themselves, at
+# 27 * kind + 9 * port 0 + 3 * port 1 + port 2 of the peers
+_FRESH_KEYS = tuple("{};+{};+{};+{};".format(*key) for key in product("SM", "012", "012", "012"))
 
-    The first piece is the root's kind token; every later piece is
-    ``";"`` plus one token, so the pieces concatenate to the encoding
-    and a consumer can stop reading as soon as the prefix decides a
-    comparison.  ``queue``, when given, is an empty list that receives
-    the vertices in discovery order as the stream is read.  Vertices are
-    numbered in discovery order, so the encoding depends only on the
-    ported structure and, with ``with_weights``, on the gauge residuals
-    of the cut and wrap cochains along non-tree edges.
+
+def _pieces(c: ClosedDiagram, root: int, with_weights: bool, queue: list, number: list):
+    """The traversal encoding from ``root`` as ASCII chunks, one per
+    vertex: its kind and one token per slot, each after a ``;`` but the
+    root's kind.  ``queue``, an empty list, receives the vertices in
+    discovery order as the stream is read, and ``number``, -1 at every
+    vertex id, their discovery numbers, which the caller resets through
+    ``queue``.  With ``with_weights`` the tokens of non-tree edges carry
+    the gauge residuals of the cut and wrap cochains.
     """
     kind = c.kind
     conn = c.conn
+    number[root] = 0
+    queue.append(root)  # vertices in discovery order: queue[number[v]] == v
+    lead = _KIND
     cuts = c.cuts
     long = c.long
-    number = {root: 0}
-    if queue is None:
-        queue = []
-    queue.append(root)  # vertices in discovery order: queue[number[v]] == v
     phi_m = [0]  # gauge potentials by discovery number (with_weights only)
     phi_l = [0]
-    sep = ""
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
+    for qi, v in enumerate(queue):  # runs on over the vertices appended meanwhile
         k = kind[v]
-        yield sep + "SM"[k]
-        sep = ";"
+        chunk = lead[k]
+        lead = _LEAD
         if with_weights:
             pm = phi_m[qi]
             pl = phi_l[qi]
-        qi += 1
-        for s in range(3):
-            ep = 3 * v + s
+        ep = 3 * v
+        for is_tail in _TAIL[k]:
             peer = conn[ep]
+            if with_weights and is_tail:
+                wm = pm + len(cuts.get(peer, ()))
+                wl = pl + long.get(peer, 0)
+            elif with_weights:
+                wm = pm - len(cuts.get(ep, ()))
+                wl = pl - long.get(ep, 0)
+            ep += 1
             w = peer // 3
-            if with_weights:
-                is_tail = (k == 0 and s != 0) or (k == 1 and s == 2)
-                head = peer if is_tail else ep
-                direction = 1 if is_tail else -1
-                wm = pm + direction * len(cuts.get(head, ()))
-                wl = pl + direction * long.get(head, 0)
-            j = number.get(w)
-            if j is None:
+            j = number[w]
+            if j < 0:
                 number[w] = len(queue)
                 queue.append(w)
+                chunk += _NEW[peer % 3]
                 if with_weights:
                     phi_m.append(wm)
                     phi_l.append(wl)
-                yield f";+{peer % 3}"
             elif with_weights:
-                yield f";v{j}.{peer % 3}:{wm - phi_m[j]},{wl - phi_l[j]}"
+                chunk += f";v{j}.{peer % 3}:{wm - phi_m[j]},{wl - phi_l[j]}"
             else:
-                yield f";v{j}.{peer % 3}"
+                chunk += f";v{j}.{peer % 3}"
+        yield chunk
 
 
-def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
+def _first_key(c: ClosedDiagram, v: int, with_weights: bool) -> str:
+    """The first chunk from root ``v`` plus ``;``, for a root with a
+    self-loop or a double edge."""
+    found = [v]  # vertices by discovery number, with their potentials
+    phi = [(0, 0)]
+    key = _KIND[c.kind[v]]
+    for s, is_tail in enumerate(_TAIL[c.kind[v]]):
+        peer = c.conn[3 * v + s]
+        head, sign = (peer, 1) if is_tail else (3 * v + s, -1)
+        wm, wl = sign * len(c.cuts.get(head, ())), sign * c.long.get(head, 0)
+        if peer // 3 in found:
+            j = found.index(peer // 3)
+            key += f";v{j}.{peer % 3}"
+            if with_weights:
+                key += f":{wm - phi[j][0]},{wl - phi[j][1]}"
+        else:
+            found.append(peer // 3)
+            phi.append((wm, wl))
+            key += _NEW[peer % 3]
+    return key + ";"
+
+
+def _least_key_roots(c: ClosedDiagram, roots, with_weights: bool) -> list[int]:
+    """The roots with the least key, in their given order.  A root's key
+    is its encoding's first chunk plus the ``;`` that starts the next (a
+    component has two vertices or more).  A key holds four ``;``, the
+    last at its end, so no key is a proper prefix of another and keys
+    compare as the encodings they start."""
+    kind, conn = c.kind, c.conn
+    least, chosen = None, []
+    for v in roots:
+        p0, p1, p2 = conn[3 * v : 3 * v + 3]
+        a, b, d = p0 // 3, p1 // 3, p2 // 3
+        if v != a != b != d != v != b and a != d:  # four distinct vertices
+            key = _FRESH_KEYS[27 * kind[v] + 9 * (p0 % 3) + 3 * (p1 % 3) + p2 % 3]
+        else:
+            key = _first_key(c, v, with_weights)
+        if least is None or key < least:
+            least, chosen = key, [v]
+        elif key == least:
+            chosen.append(v)
+    return chosen
+
+
+def blank_numbers(c: ClosedDiagram) -> tuple[list[int], list[int]]:
+    """Discovery numbers for ``min_encoding``, one list per open stream;
+    a call leaves them blank, so all the calls of a form share one pair."""
+    return [-1] * len(c.kind), [-1] * len(c.kind)
+
+
+def min_encoding(c: ClosedDiagram, roots, with_weights: bool, numbers) -> bytes:
     """The least over ``roots`` of the traversal encoding from a root,
-    ``"".join(_pieces(c, root, with_weights)).encode()``, with early exit
-    and without re-encoding roots that a symmetry makes equal.
+    ``"".join(_pieces(c, root, with_weights, [], numbers[0])).encode()``;
+    ``numbers`` is a pair from ``blank_numbers``, and is left blank.
 
-    Roots are encoded one at a time and compared, as they go, with the
-    least encoding so far, which is read only as far as a comparison
-    needs.  A root stops as soon as its prefix compares greater.  If it
-    compares less, its paused traversal becomes the least; only the
-    final least, and roots that tie with it, run to the end.  The
-    comparison is on bytes (the encodings are ASCII text), not tokens:
-    token ``v1.2:0,1`` sorts before ``v1.2:0,12``, but the byte that
-    follows it, ``;``, sorts after ``2``.
-
-    A tie is an automorphism when the roots share a component, as every
-    caller's do: the two traversals number the vertices alike, so
-    pairing their discovery orders maps the component onto itself
-    preserving kinds and ports (and, with weights, both cochains up to a
-    coboundary, which the gauge residuals cannot see).  Every root in
-    the orbit of the least under the automorphisms found so far encodes
-    to the same bytes and is skipped.  An automorphism of a connected
-    component that fixes one vertex fixes all of them, so each tie at
-    least doubles the group the automorphisms found generate; the module
-    docstring gives the resulting bound on full traversals.
+    Only the roots with the least key (``_least_key_roots``) are encoded,
+    one at a time, each compared as it goes with the least encoding so
+    far, which is read only as far as a comparison needs.  A root stops
+    as soon as its prefix compares greater; if it compares less, its
+    paused traversal becomes the least.  The comparison is on bytes, not
+    tokens, so where the streams are cut does not matter: token
+    ``v1.2:0,1`` sorts before ``v1.2:0,12``, but the byte after it, ``;``,
+    sorts after ``2``.  A tie is an automorphism when the roots share a
+    component, as every caller's do: pairing the two discovery orders
+    maps the component onto itself, preserving kinds, ports and (with
+    weights) both cochains up to a coboundary.  Roots in the orbit of the
+    least under the automorphisms found so far encode alike and are
+    skipped; each tie at least doubles the group they generate, since an
+    automorphism of a connected component that fixes a vertex fixes all.
     """
-    roots = iter(roots)
-    best_root = next(roots, None)
-    if best_root is None:
+    roots = _least_key_roots(c, roots, with_weights)
+    if not roots:
         raise ValueError("min_encoding needs at least one root")
+    held, free = numbers  # the least's, the next root's
+    best_root = roots[0]
     best_queue = []  # discovery order of the least's traversal
-    best = _pieces(c, best_root, with_weights, best_queue)  # the least encoding so far
+    best = _pieces(c, best_root, with_weights, best_queue, held)  # the least encoding so far
     read = ""  # its bytes read so far
     autos = []  # automorphisms from ties, v -> image[position[v]]
     position = None  # inverse of best_queue, built at its first tie
@@ -158,8 +195,8 @@ def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
             continue
         # until it differs, this root's bytes are read[:pos]
         queue = []
-        stream = _pieces(c, root, with_weights, queue)
-        pos = 0
+        stream = _pieces(c, root, with_weights, queue, free)
+        pos, wins = 0, False
         for piece in stream:
             end = pos + len(piece)
             if len(read) < end:
@@ -167,9 +204,7 @@ def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
             ref = read[pos:end]
             if piece != ref:
                 if piece < ref:
-                    best, read = stream, read[:pos] + piece
-                    best_root, best_queue, position = root, queue, None
-                    orbit = _orbit(root, autos)
+                    best, read, wins = stream, read[:pos] + piece, True
                 break
             pos = end
         else:
@@ -177,15 +212,21 @@ def min_encoding(c: ClosedDiagram, roots, with_weights: bool = False) -> bytes:
             if len(read) == pos:
                 read = _read_ahead(best, read, pos + 1)
             if len(read) > pos:
-                best, read = iter(()), read[:pos]
-                best_root, best_queue, position = root, queue, None
-                orbit = _orbit(root, autos)
+                best, read, wins = iter(()), read[:pos], True
             else:
                 if position is None:
                     position = {v: i for i, v in enumerate(best_queue)}
                 autos.append((position, queue))
                 orbit = _orbit(best_root, autos)
-    return (read + "".join(best)).encode()
+        if wins:
+            best_root, position, orbit = root, None, _orbit(root, autos)
+            best_queue, queue, held, free = queue, best_queue, free, held
+        for v in queue:  # blank the numbers of the stream dropped
+            free[v] = -1
+    out = (read + "".join(best)).encode()
+    for v in best_queue:
+        held[v] = -1
+    return out
 
 
 def _orbit(v: int, autos) -> set[int]:
@@ -230,10 +271,10 @@ def canonical_annular(a: ClosedDiagram) -> CanonicalForm:
     """
     rings = reduced_structure(a).checked_rings()
     parts = [b"A%d" % len(rings)]
-    for ring in rings:
-        # free loops are a fixed token; a component minimizes over the
-        # vertices of its innermost directed cycle
-        parts.append(b"F" if ring.kind == "free" else min_encoding(a, ring.cycles[0].vertices))
+    numbers = blank_numbers(a)
+    for ring in rings:  # a component minimizes over its innermost cycle
+        roots = None if ring.kind == "free" else ring.cycles[0].vertices
+        parts.append(b"F" if roots is None else min_encoding(a, roots, False, numbers))
     return CanonicalForm(b"|".join(parts))
 
 

@@ -17,18 +17,18 @@ reshuffle them, unlike on the annulus).
 
 Each unit's encoding is ``canonical.min_encoding`` over its candidate
 roots: every cycle vertex when the diagram is a single unit, else the
-vertices of the unit's first cycle in cut order.  The minimum exits
-early, so a random word pays about one traversal plus a short prefix
-per other root (374 roots, under one vertex read on average per pruned
-root, on the 10^3 letter T word of the benchmark).  A symmetric power
-w^k keeps many roots tied, and ties are automorphisms whose orbits are
-skipped, so t tied roots cost O(log t) traversals, not t (w^32 of a
-100-letter word: 64 tied roots, 3 traversals).  The structure comes
-from one ``closure.reduced_structure`` per form, which gates on
-reduction once; the normalization, the structure check and the ring
-order all read its cycles and rings.  The cyclic order comes from the
-rings' record of which ring and cycle own each cut, in cut order, so
-this module reads cut counts and never a cut position.
+vertices of the unit's first cycle in cut order.  The minimum keeps the
+roots with the least first vertex and exits early, so a random word pays
+about one traversal (the 10^3 letter T word of the benchmark: 374 roots,
+3 with the least key).  A symmetric power w^k keeps many roots tied, and
+ties are automorphisms whose orbits are skipped, so t tied roots cost
+O(log t) traversals, not t (w^32 of a 100-letter positive word: 5,248
+roots, 32 with the least key, 2 traversals).  The structure comes from
+one ``closure.reduced_structure`` per form, which gates on reduction
+once; the normalization, the structure check and the ring order all read
+its cycles and rings.  The cyclic order comes from the rings' record of
+which ring and cycle own each cut, in cut order, so this module reads
+cut counts and never a cut position.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .canonical import CanonicalForm, min_encoding
+from .canonical import CanonicalForm, blank_numbers, min_encoding
 from .closure import (
     ClosedDiagram,
     Cycle,
@@ -82,15 +82,15 @@ def dehn_twist(t: ClosedDiagram, times: int = 1) -> ClosedDiagram:
     return t
 
 
-def _normalize(t: ClosedDiagram, cycles: list[Cycle]) -> tuple[int, int]:
+def _normalize(t: ClosedDiagram, cycles: list[Cycle]) -> tuple[int, int, int]:
     """``dehn_normalize`` in place, given the directed cycles of ``t``;
-    returns the normalized class (n, k).  The twist changes wraps, not
-    cycles, so ``cycles`` stay valid apart from their wrap sums."""
+    returns the normalized class (n, k) and the twists made.  They change
+    wraps, not cycles, so ``cycles`` stay valid but for wrap sums."""
     n, k = _common_class(t, cycles)
     shift = (k % n - k) // n
     if shift:
         dehn_twist(t, shift)
-    return n, k % n
+    return n, k % n, shift
 
 
 def dehn_normalize(t: ClosedDiagram) -> ClosedDiagram:
@@ -179,27 +179,31 @@ def _cyclic_units(n: int, rings: list[Ring], owners):
 def canonical_toral(t: ClosedDiagram) -> CanonicalForm:
     """Byte encoding of a reduced toral diagram up to the Dehn convention.
 
-    Twist-normalizes a copy, recovers the cyclic ring order from the
-    cut pattern, encodes each unit independently (components include
-    both gauge residuals), and minimizes over rotations.
+    Twist-normalizes ``t`` in place until done, recovers the cyclic ring
+    order from the cut pattern, encodes each unit independently
+    (components include both gauge residuals), minimizes over rotations.
     """
-    t = t.copy()
     s = reduced_structure(t)
-    n, k = _normalize(t, s.cycles)
-    # the ring clauses read classes modulo n, which the twist preserves
-    units = _cyclic_units(n, s.checked_rings(), s.owners)
-    encodings = []
-    for ring, first in units:
-        if ring.kind == "free":
-            encodings.append(b"F")
-            continue
-        if len(units) == 1:  # a lone unit: every cycle vertex is a root
-            roots = [v for cyc in ring.cycles for v in cyc.vertices]
-        elif first is None:
-            raise StructureViolation("component cycle carries no cut")
-        else:
-            roots = first.vertices
-        encodings.append(min_encoding(t, roots, with_weights=True))
+    n, k, shift = _normalize(t, s.cycles)
+    try:
+        # the ring clauses read classes modulo n, which the twist preserves
+        units = _cyclic_units(n, s.checked_rings(), s.owners)
+        encodings = []
+        numbers = blank_numbers(t)
+        for ring, first in units:
+            if ring.kind == "free":
+                encodings.append(b"F")
+                continue
+            if len(units) == 1:  # a lone unit: every cycle vertex is a root
+                roots = [v for cyc in ring.cycles for v in cyc.vertices]
+            elif first is None:
+                raise StructureViolation("component cycle carries no cut")
+            else:
+                roots = first.vertices
+            encodings.append(min_encoding(t, roots, True, numbers))
+    finally:
+        if shift:
+            dehn_twist(t, -shift)
     # the class check leaves at least one unit
     body = min(b"|".join(encodings[i:] + encodings[:i]) for i in range(len(encodings)))
     return CanonicalForm(b"T%d,%d#%d|" % (n, k, len(units)) + body)

@@ -17,9 +17,10 @@ a port-preserving isomorphism; its gauge residuals are the cut counts
 summed around the fundamental cycles of the traversal tree, which fix
 the cutting class modulo coboundaries.  V words carry no wrap counts,
 so the wrap residuals are all 0.  The cost is that of the F and T forms
-(O(log t) traversals for t tied roots, since each tie is an automorphism
-that lets its orbit be skipped, plus a short prefix per other root),
-with no search over bijections between alike components.
+(O(log t) traversals for t tied roots, plus a short prefix per other
+root with the least first vertex: 118 of 5,622 on the 10^4 letter V
+words of the benchmark), and no search over bijections between alike
+components.
 
 The tests hold this equality to an independent reference, a direct
 coboundary solve over cut-count cochains (``cohomology_equivalent`` in
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .canonical import CanonicalForm, min_encoding
+from .canonical import CanonicalForm, blank_numbers, min_encoding
 from .closure import (
     ClosedDiagram,
     close_abstract,
@@ -50,7 +51,8 @@ def canonical_abstract(c: ClosedDiagram) -> CanonicalForm:
     agree as multisets.  Encodings contain no ``|``, so the join is
     unambiguous.
     """
-    comps = sorted(min_encoding(c, comp, with_weights=True) for comp in weak_components(c))
+    numbers = blank_numbers(c)
+    comps = sorted(min_encoding(c, comp, True, numbers) for comp in weak_components(c))
     loops = _loop_weights(c)
     blob = b"|".join([b"V%d" % len(comps), *comps, b"L" + b",".join(b"%d" % n for n in loops)])
     return CanonicalForm(blob)

@@ -5,6 +5,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_canon_corpus.py > tests/data/canon_corpus.tsv
+    PYTHONPATH=src python tests/data/make_canon_corpus.py --digests > tests/data/canon_digests.tsv
 
 The words are seeded, so the same source tree always writes the same
 file; ``tests/test_canon_corpus.py`` checks that every entry keeps its
@@ -13,11 +14,20 @@ to w^32 plain and conjugated), torsion elements of T, plain and
 conjugated, and for V the element that acts as x0 on each of 2^d dyadic
 blocks (2^d alike components) and torsion elements of V, whose closed
 diagrams are free loops only.
+
+``--digests`` writes the at-scale pins instead, one line per seeded
+random word of 10^3 and 10^5 letters in each group:
+
+    group  letters  sha256 of the ``--emit-canon`` hex
+
+Whole blobs of that size would swell the file, so only their digests
+are kept (``tests/test_canon_corpus.py`` checks them too).
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import random
 import sys
@@ -103,7 +113,23 @@ def entries():
         yield group, "power-large-conjugated", g.inverse() * Word(group, w.letters * 32) * g
 
 
+DIGEST_LETTERS = (1000, 100000)
+
+
+def digest_word(group: str, n: int) -> Word:
+    return random_word(group, n, random.Random(f"canon-digests:{group}:{n}"))
+
+
+def canon_digest(group: str, w: Word) -> str:
+    return hashlib.sha256(emit_canon(group, word_to_text(w)).encode()).hexdigest()
+
+
 def main() -> int:
+    if "--digests" in sys.argv[1:]:
+        for group in "FTV":
+            for n in DIGEST_LETTERS:
+                print(f"{group}\t{n}\t{canon_digest(group, digest_word(group, n))}")
+        return 0
     for group, family, w in entries():
         text = word_to_text(w)
         print(f"{group}\t{family}\t{text}\t{emit_canon(group, text)}")

@@ -15,6 +15,8 @@ from strandgroups.canonical import (
 )
 from strandgroups import canonical, toral, vgroup
 from strandgroups.closure import (
+    TORAL,
+    ClosedDiagram,
     check_cycle_structure,
     close_abstract,
     close_annular,
@@ -90,7 +92,7 @@ def test_determinism_under_reindexing(rng):
 
 def _encode_from(c, root, with_weights):
     """The whole traversal encoding from ``root``: no early exit."""
-    return "".join(canonical._pieces(c, root, with_weights)).encode()
+    return "".join(canonical._pieces(c, root, with_weights, [], [-1] * len(c.kind))).encode()
 
 
 def _assert_min_encoding_matches_reference(c, roots, with_weights, rng):
@@ -98,7 +100,7 @@ def _assert_min_encoding_matches_reference(c, roots, with_weights, rng):
     for _ in range(3):
         order = list(roots)
         rng.shuffle(order)
-        assert min_encoding(c, order, with_weights) == reference
+        assert min_encoding(c, order, with_weights, canonical.blank_numbers(c)) == reference
     return sum(_encode_from(c, v, with_weights) == reference for v in roots)
 
 
@@ -185,10 +187,9 @@ def _record_finished_traversals(monkeypatch):
     finished = []
     pieces = canonical._pieces
 
-    def recorded(c, root, with_weights, queue=None):
-        queue = [] if queue is None else queue
+    def recorded(c, root, with_weights, queue, number):
         read = []
-        for piece in pieces(c, root, with_weights, queue):
+        for piece in pieces(c, root, with_weights, queue, number):
             read.append(piece)
             yield piece
         finished.append((root, "".join(read).encode(), queue))
@@ -245,10 +246,10 @@ def test_ties_cost_logarithmic_traversals(monkeypatch, group, k):
     calls = []
     least = canonical.min_encoding
 
-    def counted(c, roots, with_weights=False):
+    def counted(c, roots, with_weights, numbers):
         roots = list(roots)
         start = len(finished)
-        out = least(c, roots, with_weights)
+        out = least(c, roots, with_weights, numbers)
         traversals = len(finished) - start
         ties = sum(_encode_from(c, v, with_weights) == out for v in roots)
         calls.append((traversals, ties))
@@ -278,7 +279,7 @@ def test_ties_cost_logarithmic_traversals(monkeypatch, group, k):
     ],
 )
 def test_min_encoding_orders_bytes_not_tokens(monkeypatch, streams):
-    def fake_pieces(c, root, with_weights, queue):
+    def fake_pieces(c, root, with_weights, queue, number):
         # the stream names are the vertices and equal streams are the
         # automorphic ones: the discovery order lists the other names by
         # stream, so pairing the orders of a tie swaps the two roots
@@ -287,15 +288,132 @@ def test_min_encoding_orders_bytes_not_tokens(monkeypatch, streams):
         queue.extend(others)
         return iter(streams[root])
 
+    # every root passes the first-vertex key filter, and the numbers are
+    # dicts that take the stream names
     monkeypatch.setattr(canonical, "_pieces", fake_pieces)
+    monkeypatch.setattr(canonical, "_least_key_roots", lambda c, roots, with_weights: list(roots))
     reference = min("".join(pieces) for pieces in streams.values()).encode()
     for order in itertools.permutations(streams):
-        assert min_encoding(None, order) == reference
+        assert min_encoding(None, order, False, ({}, {})) == reference
+
+
+def _least_key_reference(c, roots, with_weights):
+    """The roots whose own streams start with the least first vertex,
+    read off each stream's first chunk plus the ``;`` that follows it."""
+    number = [-1] * len(c.kind)
+    keys = []
+    for v in roots:
+        queue = []
+        keys.append(next(canonical._pieces(c, v, with_weights, queue, number)) + ";")
+        for u in queue:
+            number[u] = -1
+    least = min(keys)
+    return {v for v, key in zip(roots, keys) if key == least}
+
+
+@pytest.mark.parametrize("group", "TV")
+def test_streams_start_only_from_roots_with_the_least_key(monkeypatch, group):
+    # T w^32 of a 100-letter positive word: thousands of cycle vertices
+    # as roots; V on 10^4 letters: every vertex of each component
+    rng = random.Random(f"least-key:{group}")
+    if group == "T":
+        c = _closed_power("T", _positive_word("T", 100, rng), 32)
+    else:
+        c = _closed_power("V", random_word("V", 10**4, rng), 1)
+    started = []
+    pieces = canonical._pieces
+    least = canonical.min_encoding
+    calls = []
+
+    def recorded(c, root, with_weights, queue, number):
+        started.append(root)
+        return pieces(c, root, with_weights, queue, number)
+
+    def counted(c, roots, with_weights, numbers):
+        roots = list(roots)
+        start = len(started)
+        out = least(c, roots, with_weights, numbers)
+        streams = started[start:]
+        keyed = _least_key_reference(c, roots, with_weights)
+        assert set(streams) <= keyed
+        calls.append((len(streams), len(keyed), len(roots)))
+        return out
+
+    monkeypatch.setattr(canonical, "_pieces", recorded)
+    for module in (toral, vgroup):
+        monkeypatch.setattr(module, "min_encoding", counted)
+    _FORMS[group](c)
+    streams, keyed, roots = (sum(col) for col in zip(*calls))
+    assert streams <= keyed
+    assert 20 * keyed < roots, (streams, keyed, roots)
+
+
+def test_first_vertex_keys_order_as_bytes():
+    # two components, each a split feeding both inputs of a merge that
+    # feeds it back; the wraps on the merge's right input end the split
+    # roots' keys in "v1.1:0,1;" and "v1.1:0,12;", and as bytes the
+    # second is the less, though as a token it is the greater
+    c = ClosedDiagram(TORAL)
+    for v, wrap in ((0, 1), (2, 12)):
+        c.kind += [0, 1]
+        c.conn += [3 * v + 5, 3 * v + 3, 3 * v + 4, 3 * v + 1, 3 * v + 2, 3 * v]
+        c.long[3 * v + 4] = wrap
+    assert _encode_from(c, 0, True).startswith(b"S;+2;v1.0:0,0;v1.1:0,1;")
+    assert _encode_from(c, 2, True).startswith(b"S;+2;v1.0:0,0;v1.1:0,12;")
+    for order in ([0, 2], [2, 0]):
+        assert min_encoding(c, order, True, canonical.blank_numbers(c)) == _encode_from(c, 2, True)
+
+
+def test_form_of_64_alike_v_components_matches_reference():
+    c = _closed_power("V", block_word(6, None, "V"), 1)
+    comps = weak_components(c)
+    assert len(comps) == 64
+    references = [min(_encode_from(c, v, True) for v in comp) for comp in comps]
+    numbers = canonical.blank_numbers(c)
+    for comp, reference in zip(comps, references):
+        assert min_encoding(c, comp, True, numbers) == reference
+    assert numbers == canonical.blank_numbers(c)  # each call leaves them blank
+    loops = b"L" + b",".join(b"%d" % len(f.cuts) for f in sorted(c.free_loops, key=lambda f: len(f.cuts)))
+    assert canonical_abstract(c).blob == b"|".join([b"V64", *sorted(references), loops])
+
+
+def _snapshot(c):
+    return (
+        list(c.kind),
+        list(c.conn),
+        {h: list(p) for h, p in c.cuts.items()},
+        dict(c.long),
+        [(list(f.cuts), f.long) for f in c.free_loops],
+    )
+
+
+@pytest.mark.parametrize("group", "FTV")
+def test_forms_leave_their_diagram_unchanged(group):
+    # the T form Dehn-twists its argument in place and twists it back
+    rng = random.Random(f"forms-unchanged:{group}")
+    close = {"F": close_annular, "T": lambda d: close_cylindrical(d, 0), "V": close_abstract}[group]
+    twisted = 0
+    for _ in range(30):
+        w = random_word(group, rng.randrange(1, 30), rng)
+        d = word_to_diagram(w)
+        reduce_diagram(d)
+        c = reduce_closed(close(d))
+        before = _snapshot(c)
+        if group == "T":
+            twisted += _snapshot(dehn_normalize(c.copy())) != before
+            form = canonical_toral(c)
+            assert _snapshot(c) == before
+            assert canonical_toral(c.copy()) == form
+        else:
+            _FORMS[group](c)
+            assert _snapshot(c) == before
+    assert group != "T" or twisted >= 10
 
 
 def test_min_encoding_needs_a_root():
     with pytest.raises(ValueError):
-        min_encoding(_reduced_annular(parse_word("x0")), [])
+        c = _reduced_annular(parse_word("x0"))
+        min_encoding(c, [], False, canonical.blank_numbers(c))
 
 
 # -- decoration: a plain-graph reference for the canonical form ---------------
